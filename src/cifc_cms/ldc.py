@@ -1,5 +1,5 @@
 """Linear deterministic channel: sum-rate bounds, constructive schemes,
-and brute-force decodability verification.
+and exact decodability verification.
 
 The channel is Y_l = sum_i S^(m - n[l][i]) X_i over GF(2), where the
 gains n[l][i] count delivered bit levels and m is the largest gain.
@@ -11,16 +11,16 @@ exact probability vectors.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
 
-EXHAUSTIVE_BIT_CUTOFF = 20
-DEFAULT_SAMPLES = 10_000
 GENERIC3_MAX_RETRIES = 10_000
+# Random distributions evaluated per batch in the dominance check: the
+# batch's bincount buffers grow with it, so it caps memory, not results.
+DOMINANCE_CHUNK = 64
 
 
 class SchemeSearchFailed(RuntimeError):
@@ -65,6 +65,13 @@ class LdcGains:
 
     def channel_matrix(self, l: int, i: int) -> np.ndarray:
         return gf2.shift_matrix(self.m, self.m - self.n[l][i])
+
+    def receive(self, l: int, inputs) -> np.ndarray:
+        """Y_l = sum_i H_li inputs[i] over GF(2); each input is an m-row
+        matrix (a stack of input columns or a linear map)."""
+        y = sum(self.channel_matrix(l, i).astype(np.int64)
+                @ np.asarray(x, dtype=np.int64) for i, x in enumerate(inputs))
+        return (y % 2).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,7 @@ class DominanceReport:
     trials: int
     all_within: bool
     uniform_value: float
+    support_bound: int  # chain_rank_bound: holds for every distribution
 
 
 def positive_part(x: int) -> int:
@@ -178,9 +186,9 @@ def ldc3_sum_outer(g: LdcGains) -> SumRateBound:
 def ldc_k_sym_sum_capacity(nd: int, ni: int, k: int) -> SumRateBound:
     """Symmetric K-user sum capacity: (K-1)max{nd,ni} + [nd-ni]^+.
 
-    Degenerate branches: nd == ni > 0 collapses to a K-user MAC with sum
-    capacity nd; nd == 0 (with ni > 0) is a broadcast-degenerate channel
-    with sum rate 2*ni; nd == ni == 0 is 0 by continuity.
+    The formula covers nd == 0 too ((K-1)ni bits).  Degenerate branches:
+    nd == ni > 0 collapses to a K-user MAC with sum capacity nd;
+    nd == ni == 0 is 0 by continuity.
     """
     if nd < 0 or ni < 0 or k < 2:
         raise ValueError("need nd >= 0, ni >= 0, k >= 2")
@@ -189,9 +197,6 @@ def ldc_k_sym_sum_capacity(nd: int, ni: int, k: int) -> SumRateBound:
             return SumRateBound(0, (("degenerate_zero", 0),),
                                 note="all-zero gains, value 0 by continuity")
         return SumRateBound(nd, (("mac", nd),), note="mac")
-    if nd == 0:
-        return SumRateBound(2 * ni, (("broadcast", 2 * ni),),
-                            note="broadcast degenerate")
     v = (k - 1) * max(nd, ni) + positive_part(nd - ni)
     return SumRateBound(
         v,
@@ -305,10 +310,7 @@ def _generic3_encoders(g: LdcGains, rng: np.random.Generator | None
 
     # Pre-cancel the W_1 components at Y_2 that fall inside the layer-2
     # image space; the correction is invisible at Y_1 by construction.
-    n1 = (h[1][0].astype(np.int64) @ l1_x1.astype(np.int64)
-          + h[1][1].astype(np.int64) @ l1_x2.astype(np.int64)
-          + h[1][2].astype(np.int64) @ l1_x3.astype(np.int64)) % 2
-    n1 = n1.astype(np.uint8)
+    n1 = g.receive(1, (l1_x1, l1_x2, l1_x3))
     if r2:
         idx_r = gf2.basis_complete(w_basis, gf2.identity(m))
         comp = gf2.identity(m)[:, idx_r]
@@ -345,10 +347,7 @@ def _generic3_encoders(g: LdcGains, rng: np.random.Generator | None
     if r3:
         # Interference seen on the bottom r3 levels of Y_3 from the w1/w2
         # layers; transmitter 3 knows it exactly and pre-adds it.
-        g3 = (h[2][0].astype(np.int64) @ e1.astype(np.int64)
-              + h[2][1].astype(np.int64) @ e2.astype(np.int64)
-              + h[2][2].astype(np.int64) @ e3.astype(np.int64)) % 2
-        c = g3.astype(np.uint8)[m - r3:, :r1 + r2]
+        c = g.receive(2, (e1, e2, e3))[m - r3:, :r1 + r2]
         e3[:, :r1 + r2] = gf2.add(e3[:, :r1 + r2],
                                   gf2.matmul(priv, c))
 
@@ -357,10 +356,7 @@ def _generic3_encoders(g: LdcGains, rng: np.random.Generator | None
     # Decoders by solving D @ G_l == message selector.
     decoders = []
     for l in range(3):
-        comp = (h[l][0].astype(np.int64) @ e1.astype(np.int64)
-                + h[l][1].astype(np.int64) @ e2.astype(np.int64)
-                + h[l][2].astype(np.int64) @ e3.astype(np.int64)) % 2
-        comp = comp.astype(np.uint8)
+        comp = g.receive(l, encoders)
         sel = gf2.zeros(rates[l], total)
         off = sum(rates[:l])
         sel[:, off:off + rates[l]] = gf2.identity(rates[l])
@@ -393,81 +389,112 @@ def build_generic3_scheme(g: LdcGains,
     raise SchemeSearchFailed(f"no scheme found for gains {g.n}")
 
 
-def _bit_columns(values: np.ndarray, nbits: int) -> np.ndarray:
-    """Columns of bits (MSB first) for an array of integers."""
-    shifts = np.arange(nbits - 1, -1, -1, dtype=np.int64)
-    return ((values[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
-
-
 def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",
-                  seed: int = 0, samples: int = DEFAULT_SAMPLES
-                  ) -> VerificationReport:
-    """Simulate the channel over message tuples and check every decoder.
+                  seed: int = 0) -> VerificationReport:
+    """Prove or refute that every decoder recovers its message for every
+    one of the 2**total_bits message tuples.
 
-    mode: "exhaustive", "sampled", or "auto" (exhaustive when the total
-    message length is at most EXHAUSTIVE_BIT_CUTOFF bits).
+    Encoders, channel and decoders are all linear over GF(2), so decoder
+    l is correct on every tuple exactly when
+    D_l (sum_i H_li E_i) == Sel_l (mod 2), where Sel_l picks user l's
+    bits out of the message word.  A column j where the identity fails
+    means the unit message e_j is decoded wrongly; it is reported as the
+    counterexample (messages, user, decoded).
+
+    mode: "auto" or "exhaustive"; both give this full verdict.  seed is
+    accepted for compatibility and does not affect the result.
     """
+    if mode not in ("auto", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
     if len(s.encoders) != g.k or len(s.decoders) != g.k:
         raise ValueError("scheme dimensions do not match the channel")
     m, total = g.m, s.total_bits
     for e in s.encoders:
         if e.shape != (m, total):
             raise ValueError("encoder dimensions do not match the channel")
+    for r, d in zip(s.rates, s.decoders):
+        if d.shape != (r, m):
+            raise ValueError("decoder dimensions do not match the channel")
 
-    if mode == "auto":
-        mode = "exhaustive" if total <= EXHAUSTIVE_BIT_CUTOFF else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    h = [[g.channel_matrix(l, i).astype(np.int64) for i in range(g.k)]
-         for l in range(g.k)]
-    enc = [e.astype(np.int64) for e in s.encoders]
-    dec = [d.astype(np.int64) for d in s.decoders]
-
-    def check_block(w: np.ndarray) -> tuple | None:
-        xs = [(e @ w) % 2 for e in enc]
-        for l in range(g.k):
-            y = sum(h[l][i] @ xs[i] for i in range(g.k)) % 2
-            got = (dec[l] @ y) % 2
-            want = w[s.message_slice(l)]
-            bad = np.nonzero((got != want).any(axis=0))[0]
-            if bad.size:
-                j = int(bad[0])
-                msgs = tuple(tuple(int(b) for b in w[s.message_slice(u), j])
-                             for u in range(g.k))
-                return (msgs, l, tuple(int(b) for b in got[:, j]))
-        return None
-
-    checked = 0
-    if mode == "exhaustive":
-        n_tuples = 1 << total
-        chunk = 1 << 14
-        for start in range(0, n_tuples, chunk):
-            vals = np.arange(start, min(start + chunk, n_tuples),
-                             dtype=np.int64)
-            w = _bit_columns(vals, total) if total else gf2.zeros(0, len(vals))
-            cex = check_block(w)
-            checked += w.shape[1]
-            if cex is not None:
-                return VerificationReport(False, mode, checked, cex)
-    else:
-        rng = np.random.default_rng(seed)
-        chunk = 1 << 12
-        remaining = samples
-        while remaining > 0:
-            cols = min(chunk, remaining)
-            w = rng.integers(0, 2, size=(total, cols), dtype=np.int64)
-            cex = check_block(w)
-            checked += cols
-            remaining -= cols
-            if cex is not None:
-                return VerificationReport(False, mode, checked, cex)
-    return VerificationReport(True, mode, checked)
+    for l in range(g.k):
+        got = gf2.matmul(s.decoders[l], g.receive(l, s.encoders))
+        want = gf2.zeros(s.rates[l], total)
+        want[:, s.message_slice(l)] = gf2.identity(s.rates[l])
+        bad = np.nonzero((got != want).any(axis=0))[0]
+        if bad.size:
+            j = int(bad[0])
+            msgs = tuple(tuple(int(b == j) for b in
+                               range(total)[s.message_slice(u)])
+                         for u in range(g.k))
+            cex = (msgs, l, tuple(int(b) for b in got[:, j]))
+            return VerificationReport(False, "exhaustive", 1 << total, cex)
+    return VerificationReport(True, "exhaustive", 1 << total)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def chain_rank_bound(g: LdcGains) -> int:
+    """sum_l rank[C_l; Y_l] - rank C_l, where C_l stacks X_1..X_{l-1}
+    and Y_1..Y_{l-1} as linear maps of the joint input (X_1, ..., X_K).
+
+    Given C_l, Y_l ranges over a coset of a space of dimension
+    rank[C_l; Y_l] - rank C_l, so H(Y_l | C_l) is at most that many
+    bits and the sum bounds H(Y_1) + H(Y_2 | X_1, Y_1) + ... for every
+    joint input distribution.
+    """
+    k, m = g.k, g.m
+    known, total = gf2.zeros(0, k * m), 0
+    for l in range(k):
+        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
+        total += gf2.rank(np.vstack([known, y])) - gf2.rank(known)
+        x = np.eye(m, k * m, l * m, dtype=np.uint8)
+        known = np.vstack([known, y, x])
+    return total
+
+
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of a matrix of probability vectors."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * logs).sum(axis=1)
+
+
+def _chain_entropy_sums(g: LdcGains):
+    """Vectorized H(Y1) + H(Y2|X1,Y1) + H(Y3|X1,Y1,X2,Y2) of a 3-user
+    channel: the returned function maps a (c, 8**m) matrix whose rows
+    are joint distributions of (x1, x2, x3), c <= DOMINANCE_CHUNK, to
+    the c sums."""
+    m = g.m
+    size = 1 << m
+    # Output integers for every (x1, x2, x3) triple (bits MSB first).
+    xs = np.arange(size, dtype=np.int64)
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    xbits = (xs[None, :] >> shifts[:, None]) & 1
+    i1, i2, i3 = (i.ravel() for i in np.meshgrid(xs, xs, xs, indexing="ij"))
+    y1, y2, y3 = ((1 << shifts) @ g.receive(l, (xbits[:, i1], xbits[:, i2],
+                                                xbits[:, i3]))
+                  for l in range(3))
+
+    # For each joint variable an entropy groups by: the bin of every
+    # input triple, offset per row so that one bincount aggregates all
+    # the rows.  Bins keep the order of the variable's values, so each
+    # row sums in the order of a single-distribution bincount.
+    rows = np.arange(DOMINANCE_CHUNK, dtype=np.int64)[:, None]
+    groupings = []
+    for keys in ((y1,), (i1, y1, y2), (i1, y1), (i1, y1, i2, y2, y3),
+                 (i1, y1, i2, y2)):
+        key = np.zeros(size ** 3, dtype=np.int64)
+        for k_arr in keys:
+            key = key * size + k_arr
+        values, label = np.unique(key, return_inverse=True)
+        groupings.append(((label + values.size * rows).ravel(), values.size))
+
+    def evaluate(p: np.ndarray) -> np.ndarray:
+        c = p.shape[0]
+        h = [_row_entropies(np.bincount(flat[:p.size], weights=p.ravel(),
+                                        minlength=c * nbins
+                                        ).reshape(c, nbins))
+             for flat, nbins in groupings]
+        return h[0] + (h[1] - h[2]) + (h[3] - h[4])
+
+    return evaluate
 
 
 def outer_bound_dominance_check(g: LdcGains, trials: int = 1000,
@@ -476,62 +503,32 @@ def outer_bound_dominance_check(g: LdcGains, trials: int = 1000,
     closed-form 3-user sum bound.
 
     Evaluates H(Y1) + H(Y2|X1,Y1) + H(Y3|X1,Y1,X2,Y2) for random joint
-    distributions on ({0,1}^m)^3 and for the uniform i.i.d. input.
+    distributions on ({0,1}^m)^3 and for the uniform i.i.d. input, and
+    certifies the bound for every distribution with chain_rank_bound.
     """
     if g.k != 3:
         raise ValueError("dominance check requires k == 3")
-    m = g.m
-    if m > 3:
+    if g.m > 3:
         raise ValueError("dominance check is desk-scale only (m <= 3)")
     closed = ldc3_sum_outer(g).value
-
-    size = 1 << m
-    # Output integers for every (x1, x2, x3) triple.
-    hmat = [[g.channel_matrix(l, i) for i in range(3)] for l in range(3)]
-    xs = np.arange(size, dtype=np.int64)
-    xbits = _bit_columns(xs, m) if m else gf2.zeros(0, size)
-
-    def out_int(l: int, i1, i2, i3) -> np.ndarray:
-        y = (hmat[l][0].astype(np.int64) @ xbits[:, i1]
-             + hmat[l][1].astype(np.int64) @ xbits[:, i2]
-             + hmat[l][2].astype(np.int64) @ xbits[:, i3]) % 2
-        weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-        return weights @ y if m else np.zeros(i1.shape, dtype=np.int64)
-
-    i1, i2, i3 = np.meshgrid(xs, xs, xs, indexing="ij")
-    i1, i2, i3 = i1.ravel(), i2.ravel(), i3.ravel()
-    y1 = out_int(0, i1, i2, i3)
-    y2 = out_int(1, i1, i2, i3)
-    y3 = out_int(2, i1, i2, i3)
-
-    def evaluate(p: np.ndarray) -> float:
-        def joint_entropy(*keys) -> float:
-            key = np.zeros(p.shape, dtype=np.int64)
-            for k_arr in keys:
-                key = key * size + k_arr
-            agg = np.bincount(key, weights=p)
-            return _entropy_bits(agg)
-
-        h_y1 = joint_entropy(y1)
-        h_y2_cond = joint_entropy(i1, y1, y2) - joint_entropy(i1, y1)
-        h_y3_cond = (joint_entropy(i1, y1, i2, y2, y3)
-                     - joint_entropy(i1, y1, i2, y2))
-        return h_y1 + h_y2_cond + h_y3_cond
-
-    uniform = np.full(size ** 3, 1.0 / size ** 3)
-    uniform_value = evaluate(uniform)
+    support = chain_rank_bound(g)
+    evaluate = _chain_entropy_sums(g)
+    n = 1 << 3 * g.m
+    uniform_value = float(evaluate(np.full((1, n), 1.0 / n))[0])
 
     rng = np.random.default_rng(seed)
     max_obs = uniform_value
-    for _ in range(trials):
-        p = rng.dirichlet(np.ones(size ** 3))
-        max_obs = max(max_obs, evaluate(p))
+    for start in range(0, trials, DOMINANCE_CHUNK):
+        c = min(DOMINANCE_CHUNK, trials - start)
+        max_obs = max(max_obs,
+                      float(evaluate(rng.dirichlet(np.ones(n), size=c)).max()))
 
     return DominanceReport(
         closed_form=closed,
         max_observed=max_obs,
         gap=closed - max_obs,
         trials=trials,
-        all_within=max_obs <= closed + 1e-12,
+        all_within=max_obs <= closed + 1e-12 and support <= closed,
         uniform_value=uniform_value,
+        support_bound=support,
     )

@@ -91,6 +91,19 @@ class TestLdcVerify:
         assert out.read_text().splitlines() == [
             "nd,ni,k,sum_rate,outer_bound,verified,mode"]
 
+    def test_scheme_above_stated_capacity_is_a_violation(self, tmp_path,
+                                                         monkeypatch):
+        # the (2,1,3) scheme carries 5 bits; a stated capacity of 4
+        # cannot be an upper bound
+        monkeypatch.setattr(
+            cli.ldc, "ldc_k_sym_sum_capacity",
+            lambda nd, ni, k: cli.ldc.SumRateBound(4, (("low", 4),)))
+        out = tmp_path / "v.csv"
+        rc = cli.main(["ldc-verify", "--nd", "2", "--ni", "1", "--k", "3",
+                       "--out", str(out)])
+        assert rc == 1
+        assert out.read_text().splitlines()[1] == "2,1,3,5,4,true,exhaustive"
+
     def test_bad_gains_file(self, tmp_path):
         gains = tmp_path / "g.txt"
         gains.write_text("1 2\n3 4\n")  # 2x2: not supported

@@ -10,6 +10,124 @@ from hypothesis import strategies as st
 from cifc_cms import gf2, ldc
 
 
+def decode_all(g, s, w):
+    """Every decoder's output for the message-word columns w, simulated
+    through the channel shift matrices."""
+    xs = [gf2.matmul(e, w) for e in s.encoders]
+    ys = [sum(gf2.matmul(g.channel_matrix(l, i), xs[i])
+              for i in range(g.k)) % 2 for l in range(g.k)]
+    return [gf2.matmul(d, y) for d, y in zip(s.decoders, ys)]
+
+
+def enumeration_counterexample(g, s):
+    """Reference for verify_scheme: simulate all 2**total_bits message
+    tuples (at most 12 bits) and return the first (messages, user,
+    decoded) that a decoder gets wrong, or None."""
+    assert s.total_bits <= 12
+    w = np.array(list(itertools.product((0, 1), repeat=s.total_bits)),
+                 dtype=np.uint8).T
+    for l, got in enumerate(decode_all(g, s, w)):
+        bad = np.nonzero((got != w[s.message_slice(l)]).any(axis=0))[0]
+        if bad.size:
+            j = bad[0]
+            msgs = tuple(tuple(int(b) for b in w[s.message_slice(u), j])
+                         for u in range(g.k))
+            return msgs, l, tuple(int(b) for b in got[:, j])
+    return None
+
+
+def assert_real_counterexample(g, s, counterexample):
+    """The reported message tuple, replayed through the channel, is
+    decoded as reported and wrongly."""
+    msgs, user, decoded = counterexample
+    w = np.concatenate([np.array(m, dtype=np.uint8) for m in msgs])
+    got = decode_all(g, s, w[:, None])[user][:, 0]
+    assert tuple(int(b) for b in got) == decoded
+    assert decoded != msgs[user]
+
+
+def entropy_sum(g):
+    """Reference for the dominance check's objective: H(Y1) + H(Y2|X1,Y1)
+    + H(Y3|X1,Y1,X2,Y2) of one joint input distribution, evaluated with
+    one bincount per joint entropy."""
+    m, size = g.m, 1 << g.m
+    xs = np.arange(size, dtype=np.int64)
+    xbits = ((xs[None, :] >> np.arange(m - 1, -1, -1)[:, None]) & 1)
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    i1, i2, i3 = (i.ravel() for i in np.meshgrid(xs, xs, xs, indexing="ij"))
+    y1, y2, y3 = (weights @ (sum(g.channel_matrix(l, i).astype(np.int64)
+                                 @ xbits[:, idx]
+                                 for i, idx in enumerate((i1, i2, i3))) % 2)
+                  for l in range(3))
+
+    def evaluate(p):
+        def joint_entropy(*keys):
+            key = np.zeros(p.shape, dtype=np.int64)
+            for k_arr in keys:
+                key = key * size + k_arr
+            agg = np.bincount(key, weights=p)
+            agg = agg[agg > 0]
+            return float(-(agg * np.log2(agg)).sum())
+
+        return (joint_entropy(y1)
+                + (joint_entropy(i1, y1, y2) - joint_entropy(i1, y1))
+                + (joint_entropy(i1, y1, i2, y2, y3)
+                   - joint_entropy(i1, y1, i2, y2)))
+
+    return evaluate
+
+
+def per_trial_dominance(g, trials, seed):
+    """Reference for outer_bound_dominance_check: one Dirichlet draw and
+    one evaluation per trial.  Returns (max_observed, uniform_value)."""
+    evaluate, n = entropy_sum(g), 8 ** g.m
+    uniform = evaluate(np.full(n, 1.0 / n))
+    rng = np.random.default_rng(seed)
+    max_obs = uniform
+    for _ in range(trials):
+        max_obs = max(max_obs, evaluate(rng.dirichlet(np.ones(n))))
+    return max_obs, uniform
+
+
+DOMINANCE_CHANNELS = [
+    [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+    [[3, 1, 2], [0, 3, 1], [2, 2, 3]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+]
+
+
+@st.composite
+def small_schemes(draw):
+    """A built scheme of at most 12 message bits, possibly sabotaged by
+    a flipped encoder or decoder bit or a zeroed encoder."""
+    if draw(st.booleans()):
+        nd, ni = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        k = draw(st.integers(2, 4))
+        g = ldc.LdcGains.symmetric(nd, ni, k)
+        s = ldc.build_sym_scheme(nd, ni, k)
+    else:
+        g = ldc.LdcGains.from_matrix(draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=3, max_size=3),
+            min_size=3, max_size=3)))
+        s = ldc.build_generic3_scheme(g)
+    kind = draw(st.sampled_from(["none", "encoder", "decoder", "zero"]))
+    if kind == "none":
+        return g, s
+    mats = list(s.decoders if kind == "decoder" else s.encoders)
+    i = draw(st.integers(0, g.k - 1))
+    a = mats[i].copy()
+    if kind == "zero":
+        a[:, :] = 0
+    elif a.size:
+        a[draw(st.integers(0, a.shape[0] - 1)),
+          draw(st.integers(0, a.shape[1] - 1))] ^= 1
+    mats[i] = a
+    if kind == "decoder":
+        return g, ldc.LdcScheme(s.rates, s.encoders, tuple(mats))
+    return g, ldc.LdcScheme(s.rates, tuple(mats), s.decoders)
+
+
 def rank_difference_oracle(c, d, a, b):
     """Independent oracle for f: the rank increment at the second
     receiver once the first receiver's observation space is fixed."""
@@ -56,6 +174,13 @@ class TestOuterBound3:
             expected = 2 * max(nd, ni) + max(0, nd - ni)
             assert ldc.ldc3_sum_outer(g).value == expected
 
+    def test_matches_chain_rank_bound_on_random_channels(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            g = ldc.LdcGains.from_matrix(rng.integers(0, 6, size=(3, 3)))
+            assert ldc.ldc3_sum_outer(g).value == ldc.chain_rank_bound(g), \
+                g.n
+
     def test_requires_three_users(self):
         with pytest.raises(ValueError):
             ldc.ldc3_sum_outer(ldc.LdcGains.symmetric(2, 1, 4))
@@ -75,6 +200,14 @@ class TestSymCapacityFormula:
     def test_degenerate_branches(self):
         assert ldc.ldc_k_sym_sum_capacity(0, 0, 3).value == 0
         assert ldc.ldc_k_sym_sum_capacity(0, 3, 3).value == 6
+
+    def test_matches_chain_rank_bound(self):
+        # nd == 0 with K >= 4 carries (K-1)*ni bits, not 2*ni
+        for k, nd, ni in itertools.product(range(3, 6), range(5), range(5)):
+            g = ldc.LdcGains.symmetric(nd, ni, k)
+            assert ldc.ldc_k_sym_sum_capacity(nd, ni, k).value == \
+                ldc.chain_rank_bound(g) == \
+                ldc.build_sym_scheme(nd, ni, k).total_bits, (nd, ni, k)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -128,7 +261,7 @@ class TestGenericScheme3:
         g = ldc.LdcGains.from_matrix(rng.integers(0, 5, size=(3, 3)))
         s = ldc.build_generic3_scheme(g)
         assert s.total_bits == ldc.ldc3_sum_outer(g).value
-        assert ldc.verify_scheme(g, s, samples=2000).passed
+        assert ldc.verify_scheme(g, s).passed
 
 
 class TestVerifyScheme:
@@ -148,7 +281,7 @@ class TestVerifyScheme:
         assert user == 0
         assert decoded != msgs[0]
 
-    def test_sampled_mode_detects_sabotage_too(self):
+    def test_detects_zeroed_encoder(self):
         g = ldc.LdcGains.symmetric(4, 2, 3)
         s = ldc.build_sym_scheme(4, 2, 3)
         bad_enc = list(s.encoders)
@@ -157,20 +290,49 @@ class TestVerifyScheme:
         bad_enc[1] = e1
         broken = ldc.LdcScheme(rates=s.rates, encoders=tuple(bad_enc),
                                decoders=s.decoders)
-        report = ldc.verify_scheme(g, broken, mode="sampled", samples=500)
+        report = ldc.verify_scheme(g, broken)
         assert not report.passed
+        assert_real_counterexample(g, broken, report.counterexample)
 
     def test_auto_picks_exhaustive_for_small(self):
         g = ldc.LdcGains.symmetric(2, 1, 3)
         s = ldc.build_sym_scheme(2, 1, 3)
         assert ldc.verify_scheme(g, s, mode="auto").mode == "exhaustive"
 
-    def test_auto_picks_sampled_for_large(self):
+    def test_auto_proves_large_scheme(self):
         g = ldc.LdcGains.symmetric(6, 3, 6)
         s = ldc.build_sym_scheme(6, 3, 6)
-        report = ldc.verify_scheme(g, s, mode="auto", samples=500)
-        assert report.mode == "sampled"
+        report = ldc.verify_scheme(g, s, mode="auto")
+        assert s.total_bits == 33
+        assert report.mode == "exhaustive"
+        assert report.tuples_checked == 2 ** 33
         assert report.passed
+
+    def test_rejects_unknown_mode(self):
+        g = ldc.LdcGains.symmetric(2, 1, 3)
+        with pytest.raises(ValueError):
+            ldc.verify_scheme(g, ldc.build_sym_scheme(2, 1, 3),
+                              mode="sampled")
+
+    def test_rejects_bad_decoder_shape(self):
+        g = ldc.LdcGains.symmetric(2, 1, 3)
+        s = ldc.build_sym_scheme(2, 1, 3)
+        broken = ldc.LdcScheme(rates=s.rates, encoders=s.encoders,
+                               decoders=(s.decoders[0][:1],) + s.decoders[1:])
+        with pytest.raises(ValueError):
+            ldc.verify_scheme(g, broken)
+
+    @given(small_schemes())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_enumeration(self, case):
+        g, s = case
+        report = ldc.verify_scheme(g, s)
+        assert report.tuples_checked == 2 ** s.total_bits
+        cex = enumeration_counterexample(g, s)
+        assert report.passed == (cex is None)
+        if cex is not None:
+            assert_real_counterexample(g, s, cex)
+            assert_real_counterexample(g, s, report.counterexample)
 
 
 class TestDominance:
@@ -179,6 +341,42 @@ class TestDominance:
         report = ldc.outer_bound_dominance_check(g, trials=50, seed=0)
         assert report.all_within
         assert report.max_observed <= report.closed_form + 1e-12
+
+    @pytest.mark.parametrize("n", DOMINANCE_CHANNELS)
+    def test_chunked_trials_match_per_trial_loop(self, n):
+        g = ldc.LdcGains.from_matrix(n)
+        report = ldc.outer_bound_dominance_check(g, trials=150, seed=3)
+        max_obs, uniform = per_trial_dominance(g, trials=150, seed=3)
+        assert report.max_observed == pytest.approx(max_obs, abs=1e-12)
+        assert report.uniform_value == uniform
+
+    @pytest.mark.parametrize("n", DOMINANCE_CHANNELS)
+    def test_batched_sums_match_single_distribution(self, n):
+        # random rows beat nothing, so max_observed alone cannot show a
+        # wrong batched value; compare every row, sparse rows included
+        g = ldc.LdcGains.from_matrix(n)
+        rng = np.random.default_rng(1)
+        p = rng.dirichlet(np.ones(8 ** g.m), size=ldc.DOMINANCE_CHUNK)
+        p[:8] *= rng.integers(0, 2, size=p[:8].shape)
+        p[:8, 0] += 1 - p[:8].sum(axis=1)
+        p[8] = np.eye(8 ** g.m)[-1]
+        got = ldc._chain_entropy_sums(g)(p)
+        want = [entropy_sum(g)(row) for row in p]
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_support_bound_certifies_closed_form(self):
+        g = ldc.LdcGains.from_matrix([[3, 1, 2], [0, 3, 1], [2, 2, 3]])
+        report = ldc.outer_bound_dominance_check(g, trials=0)
+        assert report.support_bound == report.closed_form
+        assert report.all_within
+
+    def test_support_bound_above_closed_form_fails(self, monkeypatch):
+        g = ldc.LdcGains.from_matrix([[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+        closed = ldc.ldc3_sum_outer(g).value
+        monkeypatch.setattr(ldc, "chain_rank_bound", lambda g: closed + 1)
+        report = ldc.outer_bound_dominance_check(g, trials=10)
+        assert report.max_observed <= closed + 1e-12
+        assert not report.all_within
 
     def test_rejects_large_channels(self):
         with pytest.raises(ValueError):
