@@ -30,7 +30,6 @@ def main() -> int:
         "ldc-outer",
         "--samples", str(args.samples),
         "--max-gain", "3",
-        "--dominance-trials", "200",
         "--seed", str(args.seed),
         "--out", f"{args.out_prefix}_outer.csv",
     ])

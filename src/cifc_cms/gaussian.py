@@ -38,8 +38,9 @@ class PowerConstraintViolated(ValueError):
 
 
 class GapExceeded(RuntimeError):
-    """The observed additive gap exceeded the analytic bound; this
-    signals an implementation bug, since the bound is a theorem."""
+    """The observed additive gap exceeded the analytic bound, or the
+    inner bound exceeded the outer bound; this signals an implementation
+    bug, since both bounds are theorems."""
 
 
 class NonPsdInput(ValueError):
@@ -102,9 +103,6 @@ class DpcParams:
     beta: complex
     gamma: tuple[complex, ...]   # length K-1 (users 2..K)
 
-    def k(self) -> int:
-        return len(self.alpha)
-
     def validate(self, k: int) -> None:
         if len(self.alpha) != k or len(self.gamma) != k - 1:
             raise PowerConstraintViolated(
@@ -152,7 +150,8 @@ class GapCertificate:
 
     def __post_init__(self):
         if self.inner > self.outer + TOL.eq:
-            raise ValueError("inner bound exceeds outer bound")
+            raise GapExceeded(f"inner bound {self.inner:.6f} exceeds "
+                              f"outer bound {self.outer:.6f}")
 
 
 def outer_sum(ch: GaussianSymChannel) -> float:

@@ -112,17 +112,47 @@ class TestLdcVerify:
         assert rc == 2
 
 
+def ldc_outer_rows(path):
+    lines = path.read_text().splitlines()
+    return [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+
+
 class TestLdcOuter:
     def test_random_sweep_with_dominance(self, tmp_path):
         out = tmp_path / "o.csv"
         rc = cli.main(["ldc-outer", "--samples", "3", "--max-gain", "2",
-                       "--dominance-trials", "10", "--seed", "1",
-                       "--out", str(out)])
+                       "--seed", "1", "--out", str(out)])
         assert rc == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 4
-        assert lines[0].endswith("case_label,dominance_checked")
-        assert all(line.split(",")[-1] == "true" for line in lines[1:])
+        assert out.read_text().splitlines()[0].endswith(
+            "case_label,rank_bound")
+        rows = ldc_outer_rows(out)
+        assert len(rows) == 3
+        assert all(row["rank_bound"] == row["outer"] for row in rows)
+
+    def test_certifies_channels_past_m3(self, tmp_path):
+        out = tmp_path / "o.csv"
+        rc = cli.main(["ldc-outer", "--samples", "4", "--max-gain", "5",
+                       "--seed", "2", "--out", str(out)])
+        assert rc == 0
+        rows = ldc_outer_rows(out)
+        assert len(rows) == 4
+        assert all(row["rank_bound"] == row["outer"] for row in rows)
+
+    def test_rank_bound_above_outer_is_a_violation(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli.ldc, "chain_rank_bound", lambda g: 99)
+        out = tmp_path / "o.csv"
+        rc = cli.main(["ldc-outer", "--samples", "1", "--out", str(out)])
+        assert rc == 1
+        assert ldc_outer_rows(out)[0]["rank_bound"] == "99"
+
+    def test_dominance_trials_config_key_is_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dominance_trials=10\n")
+        rc = cli.main(["ldc-outer", "--config", str(cfg),
+                       "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
 
 
 class TestGaussianGap:
@@ -146,6 +176,14 @@ class TestGaussianGap:
         lines = out.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["inner_opt"]) <= float(row["outer_opt"]) + 1e-6
+
+    def test_inner_above_outer_exits_1(self, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setattr(cli.gaussian, "outer_sum", lambda ch: 0.0)
+        rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
+                       "--alpha", "1.5", "--out", str(tmp_path / "g.csv")])
+        assert rc == 1
+        assert "invariant violation" in capsys.readouterr().err
 
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["gaussian-gap", "--k", "3,4", "--snr-db", "10,30",

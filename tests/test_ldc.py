@@ -47,9 +47,9 @@ def assert_real_counterexample(g, s, counterexample):
 
 
 def entropy_sum(g):
-    """Reference for the dominance check's objective: H(Y1) + H(Y2|X1,Y1)
-    + H(Y3|X1,Y1,X2,Y2) of one joint input distribution, evaluated with
-    one bincount per joint entropy."""
+    """Oracle for the dominance check's objective: H(Y1) + H(Y2|X1,Y1)
+    + H(Y3|X1,Y1,X2,Y2) of one joint input distribution on
+    ({0,1}^m)^3, evaluated with one bincount per joint entropy."""
     m, size = g.m, 1 << g.m
     xs = np.arange(size, dtype=np.int64)
     xbits = ((xs[None, :] >> np.arange(m - 1, -1, -1)[:, None]) & 1)
@@ -78,8 +78,9 @@ def entropy_sum(g):
 
 
 def per_trial_dominance(g, trials, seed):
-    """Reference for outer_bound_dominance_check: one Dirichlet draw and
-    one evaluation per trial.  Returns (max_observed, uniform_value)."""
+    """Entropy audit of outer_bound_dominance_check: the uniform input
+    and one Dirichlet draw per trial, one evaluation each.  Returns
+    (max_observed, uniform_value)."""
     evaluate, n = entropy_sum(g), 8 ** g.m
     uniform = evaluate(np.full(n, 1.0 / n))
     rng = np.random.default_rng(seed)
@@ -95,6 +96,8 @@ DOMINANCE_CHANNELS = [
     [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
 ]
+ORACLE_CHANNELS = DOMINANCE_CHANNELS + np.random.default_rng(11).integers(
+    0, 4, size=(20, 3, 3)).tolist()
 
 
 @st.composite
@@ -342,27 +345,31 @@ class TestDominance:
         assert report.all_within
         assert report.max_observed <= report.closed_form + 1e-12
 
-    @pytest.mark.parametrize("n", DOMINANCE_CHANNELS)
+    @pytest.mark.parametrize("n", ORACLE_CHANNELS)
     def test_chunked_trials_match_per_trial_loop(self, n):
+        # the certificate is the exact maximum: the uniform input's
+        # entropy sum equals it and no random input exceeds it
         g = ldc.LdcGains.from_matrix(n)
         report = ldc.outer_bound_dominance_check(g, trials=150, seed=3)
         max_obs, uniform = per_trial_dominance(g, trials=150, seed=3)
         assert report.max_observed == pytest.approx(max_obs, abs=1e-12)
-        assert report.uniform_value == uniform
+        assert report.uniform_value == pytest.approx(uniform, abs=1e-12)
 
-    @pytest.mark.parametrize("n", DOMINANCE_CHANNELS)
+    @pytest.mark.parametrize("n", ORACLE_CHANNELS)
     def test_batched_sums_match_single_distribution(self, n):
-        # random rows beat nothing, so max_observed alone cannot show a
-        # wrong batched value; compare every row, sparse rows included
+        # random rows beat nothing, so the maximum alone cannot show a
+        # row the certificate undercuts; check every row of a batch,
+        # sparse rows and a point mass included
         g = ldc.LdcGains.from_matrix(n)
+        report = ldc.outer_bound_dominance_check(g)
         rng = np.random.default_rng(1)
-        p = rng.dirichlet(np.ones(8 ** g.m), size=ldc.DOMINANCE_CHUNK)
+        p = rng.dirichlet(np.ones(8 ** g.m), size=64)
         p[:8] *= rng.integers(0, 2, size=p[:8].shape)
         p[:8, 0] += 1 - p[:8].sum(axis=1)
         p[8] = np.eye(8 ** g.m)[-1]
-        got = ldc._chain_entropy_sums(g)(p)
-        want = [entropy_sum(g)(row) for row in p]
-        assert got == pytest.approx(want, abs=1e-12)
+        got = [entropy_sum(g)(row) for row in p]
+        assert max(got) <= report.support_bound + 1e-12
+        assert got[8] == pytest.approx(0.0, abs=1e-12)
 
     def test_support_bound_certifies_closed_form(self):
         g = ldc.LdcGains.from_matrix([[3, 1, 2], [0, 3, 1], [2, 2, 3]])
@@ -375,12 +382,19 @@ class TestDominance:
         closed = ldc.ldc3_sum_outer(g).value
         monkeypatch.setattr(ldc, "chain_rank_bound", lambda g: closed + 1)
         report = ldc.outer_bound_dominance_check(g, trials=10)
-        assert report.max_observed <= closed + 1e-12
+        assert report.max_observed == closed + 1
         assert not report.all_within
 
-    def test_rejects_large_channels(self):
+    def test_certifies_any_m_and_rejects_other_k(self):
+        for n in ([[4, 1, 0], [1, 4, 1], [1, 1, 4]],
+                  [[3, 1, 2], [0, 4, 1], [2, 2, 5]],
+                  [[6, 2, 1], [3, 6, 0], [1, 4, 6]]):
+            g = ldc.LdcGains.from_matrix(n)
+            report = ldc.outer_bound_dominance_check(g)
+            assert report.support_bound == report.closed_form, n
+            assert report.all_within, n
         with pytest.raises(ValueError):
-            ldc.outer_bound_dominance_check(ldc.LdcGains.symmetric(4, 1, 3))
+            ldc.outer_bound_dominance_check(ldc.LdcGains.symmetric(2, 1, 4))
 
 
 class TestCmsConstraint:
