@@ -84,7 +84,7 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy floats repr as "np.float64(...)"
     return str(v)
 
 

@@ -8,11 +8,17 @@ non-negative; interfering gains may be complex.  The degenerate branch
 where the interfering gain equals the direct gain exactly (a K-user
 MAC) is selected by exact complex equality: the discontinuity is a
 genuine feature of the channel, not numerical noise.
+
+The optimized 3-user outer bound searches inputs X = l W (W white) over
+the lower-triangular factor l of a complex correlation matrix: the
+bound is nondecreasing in the input covariance, so full power loses
+nothing, and every conditional covariance it needs is a block of l.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +47,6 @@ class GapExceeded(RuntimeError):
     """The observed additive gap exceeded the analytic bound, or the
     inner bound exceeded the outer bound; this signals an implementation
     bug, since both bounds are theorems."""
-
-
-class NonPsdInput(ValueError):
-    pass
 
 
 def _log2p1(x: float) -> float:
@@ -341,17 +343,6 @@ def _params_from_mags(ch: GaussianSymChannel, x: np.ndarray) -> DpcParams:
     return DpcParams(alpha=alpha, beta=complex(beta), gamma=gamma)
 
 
-def _feasible_mags(ch: GaussianSymChannel, x: np.ndarray) -> bool:
-    k = ch.k
-    b2 = x[0] ** 2
-    for j in range(2, k):
-        if x[j - 1] ** 2 + b2 + x[k + j - 2] ** 2 > 1 + TOL.power_slack:
-            return False
-    if x[k - 1] ** 2 + (k - 2) * b2 + x[2 * k - 2] ** 2 > 1 + TOL.power_slack:
-        return False
-    return True
-
-
 def _random_feasible(ch: GaussianSymChannel,
                      rng: np.random.Generator) -> np.ndarray:
     k = ch.k
@@ -557,37 +548,8 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# log-det mutual information and the numerically optimized outer bound
+# the numerically optimized 3-user outer bound
 # ---------------------------------------------------------------------------
-
-def mutual_info_gaussian(cov: np.ndarray, a, b, c=()) -> float:
-    """I(A; B | C) in bits for jointly (proper complex) Gaussian
-    coordinates of a covariance matrix, via log-determinant ratios."""
-    cov = np.asarray(cov)
-    n = cov.shape[0]
-    if cov.shape != (n, n):
-        raise NonPsdInput("covariance must be square")
-    if not np.allclose(cov, cov.conj().T, atol=1e-8):
-        raise NonPsdInput("covariance must be Hermitian")
-    eig_min = float(np.linalg.eigvalsh(cov).min())
-    if eig_min < -1e-8 * max(1.0, float(np.abs(cov).max())):
-        raise NonPsdInput(f"covariance has negative eigenvalue {eig_min}")
-
-    a, b, c = list(a), list(b), list(c)
-
-    def logdet(idx: list[int]) -> float:
-        if not idx:
-            return 0.0
-        sub = cov[np.ix_(idx, idx)]
-        sign, val = np.linalg.slogdet(sub)
-        if sign.real <= 0:
-            ev = np.linalg.eigvalsh(sub)
-            val = float(np.log(np.clip(ev, 1e-300, None)).sum())
-        return float(val)
-
-    return (logdet(a + c) + logdet(b + c)
-            - logdet(c) - logdet(a + b + c)) / _LN2
-
 
 def _channel_matrix(ch: GaussianSymChannel) -> np.ndarray:
     hd, hi = ch.hd, ch.hi
@@ -595,78 +557,42 @@ def _channel_matrix(ch: GaussianSymChannel) -> np.ndarray:
                     dtype=complex)
 
 
-def _th1_sum_k3_joint(ch: GaussianSymChannel, sigma_x: np.ndarray,
-                      noise: np.ndarray) -> float:
-    """Generic evaluation of the 3-user sum bound through the full
-    6x6 joint covariance.  Accurate only at moderate SNR (the log-det
-    differences cancel catastrophically past ~40 dB); kept as an
-    independent cross-check of the stable evaluation."""
-    h = _channel_matrix(ch)
-    hs = h @ sigma_x
-    cov = np.block([[sigma_x, hs.conj().T],
-                    [hs, h @ sigma_x @ h.conj().T + noise]])
-    t1 = mutual_info_gaussian(cov, [3], [0, 1, 2])
-    t2 = mutual_info_gaussian(cov, [4], [1, 2], [0, 3])
-    t3 = mutual_info_gaussian(cov, [5], [2], [0, 3, 1, 4])
-    return t1 + t2 + t3
-
-
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """F with F F^H == m for PSD m (eigenvalue square root)."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _cond_cov(s: np.ndarray, keep: list, out: list) -> np.ndarray:
-    """Covariance of the kept coordinates given the dropped ones."""
-    a = s[np.ix_(keep, keep)]
-    b = s[np.ix_(keep, out)]
-    c = s[np.ix_(out, out)]
-    return a - b @ np.linalg.pinv(c, hermitian=True) @ b.conj().T
-
-
-def _th1_sum_k3(ch: GaussianSymChannel, sigma_x: np.ndarray,
+def _th1_sum_k3(ch: GaussianSymChannel, l: np.ndarray,
                 noise: np.ndarray) -> float:
-    """The 3-user sum bound for jointly Gaussian inputs with covariance
-    sigma_x and (marginal-preserving) noise covariance.
+    """The 3-user sum bound for inputs X = l W (l lower triangular with
+    non-zero diagonal, W white) and marginal-preserving noise.
 
-    Every term is reduced to log1p of a positive semidefinite quadratic
-    form or to sums of log(1 + sigma_i^2) over singular values, so the
-    evaluation stays accurate at arbitrary SNR (no large log-det
-    differences are ever formed).
+    Every term is log1p of a non-negative quantity, so the evaluation
+    stays accurate at arbitrary SNR (no large log-det differences).
     """
     h = _channel_matrix(ch)
-    s = np.asarray(sigma_x, dtype=complex)
-    n = np.asarray(noise, dtype=complex)
+    n = np.asarray(noise)
     n2 = n[:2, :2]
     n11 = n[0, 0].real
 
-    # I(Y1; X1 X2 X3) = log(1 + h1 Sigma h1^H / N11)
-    ls = _psd_factor(s)
-    u = h[0] @ ls
-    t1 = math.log1p(float(np.real(u @ u.conj())) / n11) / _LN2
+    # I(Y1; X1 X2 X3) = log(1 + |h1 l|^2 / N11)
+    u = h[0] @ l
+    t1 = math.log1p(np.vdot(u, u).real / n11)
 
-    # I(Y2; X2 X3 | X1, Y1) = logdet(I + W W^H) - log(1 + a1 S' a1^H)
-    # with S' the covariance of (X2, X3) given X1 and W the whitened
-    # map (X2, X3) -> (Y1, Y2).
-    sp = _cond_cov(s, [1, 2], [0])
-    lsp = _psd_factor(sp)
-    ln2 = np.linalg.cholesky(n2)
-    w = np.linalg.solve(ln2, h[:2, 1:3] @ lsp)
-    sv = np.linalg.svd(w, compute_uv=False)
-    u1 = h[0, 1:3] @ lsp
-    t2 = (float(np.log1p(sv ** 2).sum())
-          - math.log1p(float(np.real(u1 @ u1.conj())) / n11)) / _LN2
+    # I(Y2; X2 X3 | X1, Y1) = logdet(I + W^H W) - log(1 + |a1 l'|^2 / N11)
+    # with l' = l[1:, 1:] and W the whitened map (X2, X3) -> (Y1, Y2);
+    # for 2x2 W, det(I + W^H W) = 1 + |W|_F^2 + |det W|^2.
+    lp = l[1:, 1:]
+    w = np.linalg.solve(np.linalg.cholesky(n2), h[:2, 1:] @ lp)
+    det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    u1 = h[0, 1:] @ lp
+    t2 = (math.log1p(np.vdot(w, w).real + abs(det_w) ** 2)
+          - math.log1p(np.vdot(u1, u1).real / n11))
 
     # I(Y3; X3 | X1, Y1, X2, Y2): rank-one update by the conditional
-    # variance v of X3 given (X1, X2).
-    v = max(float(np.real(_cond_cov(s, [2], [0, 1])[0, 0])), 0.0)
+    # variance |l33|^2 of X3 given (X1, X2).
+    v = abs(l[2, 2]) ** 2
     h3 = h[:, 2]
-    q_full = float(np.real(h3.conj() @ np.linalg.solve(n, h3)))
-    q_part = float(np.real(h3[:2].conj() @ np.linalg.solve(n2, h3[:2])))
-    t3 = (math.log1p(v * q_full) - math.log1p(v * q_part)) / _LN2
+    q_full = np.vdot(h3, np.linalg.solve(n, h3)).real
+    q_part = np.vdot(h3[:2], np.linalg.solve(n2, h3[:2])).real
+    t3 = math.log1p(v * q_full) - math.log1p(v * q_part)
 
-    return t1 + t2 + max(t3, 0.0)
+    return (t1 + t2 + max(t3, 0.0)) / _LN2
 
 
 def _noise_from_rho(rho: np.ndarray) -> np.ndarray | None:
@@ -678,39 +604,50 @@ def _noise_from_rho(rho: np.ndarray) -> np.ndarray | None:
     return n
 
 
-def _sigma_from_vec(x: np.ndarray) -> np.ndarray:
-    """Unconstrained 9-vector -> PSD input covariance with diag <= 1."""
-    tri = np.zeros((3, 3))
-    tri[np.tril_indices(3)] = x[:6]
-    s = tri @ tri.T + 1e-12 * np.eye(3)
-    d = np.sqrt(np.diag(s))
-    s = s / np.outer(d, d)
-    t = _sigmoid(x[6:9])
-    return s * np.outer(t, t) + 1e-9 * np.eye(3)
+def _factor_from_vec(x: np.ndarray) -> np.ndarray:
+    """Unconstrained 8-vector -> lower-triangular factor l of a complex
+    correlation matrix l l^H: l[0, 0] = 1, complex entries below the
+    diagonal, real diagonal, unit-norm rows."""
+    l = np.array([[1.0, 0.0, 0.0],
+                  [x[0] + 1j * x[1], x[2], 0.0],
+                  [x[3] + 1j * x[4], x[5] + 1j * x[6], x[7]]])
+    return l / np.linalg.norm(l, axis=1, keepdims=True)
 
 
 def _vec_from_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Approximate inverse of _sigma_from_vec (for warm starts)."""
-    s = np.real(sigma) + 1e-9 * np.eye(3)
-    d = np.sqrt(np.clip(np.diag(s), 1e-9, 1.0 - 1e-9))
-    corr = s / np.outer(np.sqrt(np.diag(s)), np.sqrt(np.diag(s)))
-    corr = corr + 1e-9 * np.eye(3)
-    tri = np.linalg.cholesky(corr + 1e-9 * np.eye(3))
-    x = np.empty(9)
-    x[:6] = tri[np.tril_indices(3)]
-    x[6:9] = np.log(d / (1.0 - d))
-    return x
+    """Inverse of _factor_from_vec at sigma + diag(1 - diag sigma), which
+    dominates sigma (for warm starts).  A zero pivot leaves the column
+    below it zero, so singular lifts (full beamforming) factor exactly."""
+    s = np.array(sigma, dtype=complex)
+    np.fill_diagonal(s, 1.0)
+    l = np.zeros((3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(i):
+            if l[j, j] != 0:
+                l[i, j] = (s[i, j] - l[i, :j] @ l[j, :j].conj()) / l[j, j]
+        l[i, i] = math.sqrt(max(0.0, 1.0 - np.vdot(l[i, :i], l[i, :i]).real))
+    return np.array([l[1, 0].real, l[1, 0].imag, l[1, 1].real,
+                     l[2, 0].real, l[2, 0].imag, l[2, 1].real, l[2, 1].imag,
+                     l[2, 2].real])
 
 
 def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
                    seed: int = 0,
                    inner_hint: DpcParams | None = None) -> float:
     """Tightened 3-user outer bound: maximize the sum bound over
-    Gaussian input covariances, minimize over marginal-preserving noise
-    correlations (grid plus local refinement).
+    Gaussian inputs, minimize over real marginal-preserving noise
+    correlations (grid plus pattern search).
 
-    The independent-noise point is always evaluated, so the result never
-    exceeds the analytic outer_sum (up to numerical slack).
+    Every term is the log-det of a Schur complement of the input
+    covariance, so the maximum over {Sigma >= 0, diag Sigma <= 1} is
+    attained on complex correlation matrices, searched through their
+    factor; warm starts (inner_hint, closed-form DPC) are lifted to unit
+    diagonal, which can only raise the bound.  The maximum at each
+    noise point is a budgeted Nelder-Mead search, not a certificate: a
+    longer search can find more.  The result is capped at outer_sum.
+    Every noise point evaluates the lifted inner_hint, so a result below
+    dpc_rates(ch, inner_hint).total is a bug and raises GapExceeded; an
+    infeasible inner_hint raises PowerConstraintViolated.
     """
     if ch.k != 3:
         raise ValueError("optimize_outer implemented for k == 3 only")
@@ -719,24 +656,22 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
 
+    inner = None if inner_hint is None else dpc_rates(ch, inner_hint).total
     sigma_starts = [np.eye(3, dtype=complex),
                     np.full((3, 3), 0.999, dtype=complex)
                     + 0.001 * np.eye(3)]
     for prm in filter(None, [inner_hint,
                              closed_form_params(ch) if ch.inr >= 1 else None,
                              successive_params(ch)]):
-        try:
-            sigma_starts.append(input_covariance(prm, 3))
-        except PowerConstraintViolated:
-            pass
+        sigma_starts.append(input_covariance(prm, 3))
     start_vecs = [_vec_from_sigma(s) for s in sigma_starts]
-    start_vecs += [rng.normal(scale=0.5, size=9) for _ in range(2)]
+    start_vecs += [rng.normal(scale=0.5, size=8) for _ in range(2)]
 
     def max_over_sigma(noise: np.ndarray, maxfev: int) -> float:
         def neg(x: np.ndarray) -> float:
             if not budget_ctr.spend():
                 raise StopIteration
-            return -_th1_sum_k3(ch, _sigma_from_vec(x), noise)
+            return -_th1_sum_k3(ch, _factor_from_vec(x), noise)
 
         best = -math.inf
         best_x = None
@@ -773,22 +708,17 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     # Coarse screen over noise correlations with cheap fixed-start
     # evaluation, keeping the independent-noise point.
     grid_vals = [-0.9, -0.45, 0.0, 0.45, 0.9]
-    candidates = []
-    for r12 in grid_vals:
-        for r13 in grid_vals:
-            for r23 in grid_vals:
-                n = _noise_from_rho(np.array([r12, r13, r23]))
-                if n is not None:
-                    candidates.append(np.array([r12, r13, r23]))
     cheap = []
-    for rho in candidates:
+    for rho in itertools.product(grid_vals, repeat=3):
         noise = _noise_from_rho(rho)
+        if noise is None:
+            continue
         val = -math.inf
         for x0 in start_vecs:
             if not budget_ctr.spend():
                 break
-            val = max(val, _th1_sum_k3(ch, _sigma_from_vec(x0), noise))
-        cheap.append((val, tuple(rho)))
+            val = max(val, _th1_sum_k3(ch, _factor_from_vec(x0), noise))
+        cheap.append((val, rho))
     cheap.sort()
 
     remaining = max(budget - budget_ctr.used, 1)
@@ -836,6 +766,8 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
                              budget - budget_ctr.used)
         if math.isfinite(val):
             best_outer = max(best_outer, val)
-    if not math.isfinite(best_outer):
-        return outer_sum(ch)
-    return min(best_outer, outer_sum(ch))
+    outer = min(best_outer, outer_sum(ch))
+    if inner is not None and outer < inner - TOL.eq:
+        raise GapExceeded(f"optimized outer bound {outer:.6f} is below "
+                          f"the inner_hint rate {inner:.6f}")
+    return outer

@@ -170,12 +170,23 @@ class TestGaussianGap:
     def test_numeric_columns_with_budget(self, tmp_path):
         out = tmp_path / "g.csv"
         rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
-                       "--alpha", "1.5", "--budget", "400",
+                       "--alpha", "1.5", "--budget", "1000",
                        "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        for cell in row.values():
+            float(cell)  # numpy scalars must not leak their repr
         assert float(row["inner_opt"]) <= float(row["outer_opt"]) + 1e-6
+
+    def test_optimized_outer_below_inner_exits_1(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(cli.gaussian, "_th1_sum_k3", lambda *a: 0.0)
+        rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
+                       "--alpha", "1.5", "--budget", "1000",
+                       "--out", str(tmp_path / "g.csv")])
+        assert rc == 1
+        assert "invariant violation" in capsys.readouterr().err
 
     def test_inner_above_outer_exits_1(self, tmp_path, monkeypatch,
                                        capsys):

@@ -1,5 +1,6 @@
 """Gaussian-model rate arithmetic, gap certificates, and optimizers."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,72 @@ from cifc_cms import gaussian
 
 def log2p1(x):
     return math.log2(1.0 + x)
+
+
+def phased(snr_db, alpha, phase):
+    """3-user channel with interfering gain of SNR^(alpha/2) at phase."""
+    ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, 3)
+    return gaussian.GaussianSymChannel(ch.hd, cmath.rect(abs(ch.hi), phase),
+                                       3)
+
+
+# Independent oracle for the 3-user sum bound: the generic log-det route
+# through the full 6x6 joint covariance of (X, Y).
+
+class NonPsdInput(ValueError):
+    pass
+
+
+def mutual_info_gaussian(cov, a, b, c=()):
+    """I(A; B | C) in bits for jointly (proper complex) Gaussian
+    coordinates of a covariance matrix, via log-determinant ratios."""
+    cov = np.asarray(cov)
+    n = cov.shape[0]
+    if cov.shape != (n, n):
+        raise NonPsdInput("covariance must be square")
+    if not np.allclose(cov, cov.conj().T, atol=1e-8):
+        raise NonPsdInput("covariance must be Hermitian")
+    eig_min = float(np.linalg.eigvalsh(cov).min())
+    if eig_min < -1e-8 * max(1.0, float(np.abs(cov).max())):
+        raise NonPsdInput(f"covariance has negative eigenvalue {eig_min}")
+
+    a, b, c = list(a), list(b), list(c)
+
+    def logdet(idx):
+        if not idx:
+            return 0.0
+        sub = cov[np.ix_(idx, idx)]
+        sign, val = np.linalg.slogdet(sub)
+        if sign.real <= 0:
+            ev = np.linalg.eigvalsh(sub)
+            val = float(np.log(np.clip(ev, 1e-300, None)).sum())
+        return float(val)
+
+    return (logdet(a + c) + logdet(b + c)
+            - logdet(c) - logdet(a + b + c)) / math.log(2.0)
+
+
+def th1_sum_k3_joint(ch, sigma_x, noise):
+    """The 3-user sum bound at input covariance sigma_x.  Accurate only
+    at moderate SNR: the log-det differences cancel catastrophically
+    past about 40 dB."""
+    h = gaussian._channel_matrix(ch)
+    hs = h @ sigma_x
+    cov = np.block([[sigma_x, hs.conj().T],
+                    [hs, h @ sigma_x @ h.conj().T + noise]])
+    t1 = mutual_info_gaussian(cov, [3], [0, 1, 2])
+    t2 = mutual_info_gaussian(cov, [4], [1, 2], [0, 3])
+    t3 = mutual_info_gaussian(cov, [5], [2], [0, 3, 1, 4])
+    return t1 + t2 + t3
+
+
+# Lower-triangular factor vectors for gaussian._factor_from_vec, with the
+# real diagonal kept away from zero, and per-transmitter powers below 1.
+_unit = st.floats(-1.0, 1.0)
+_diag = st.floats(0.1, 1.0)
+factor_vecs = st.tuples(_unit, _unit, _diag, _unit, _unit, _unit, _unit,
+                        _diag)
+powers = st.tuples(*[st.floats(0.05, 0.95)] * 3)
 
 
 class TestChannel:
@@ -190,52 +257,54 @@ class TestMutualInfo:
     def test_chain_rule(self):
         rng = np.random.default_rng(3)
         cov = self._random_psd(rng, 5)
-        joint = gaussian.mutual_info_gaussian(cov, [0], [1, 2])
-        chained = (gaussian.mutual_info_gaussian(cov, [0], [1])
-                   + gaussian.mutual_info_gaussian(cov, [0], [2], [1]))
+        joint = mutual_info_gaussian(cov, [0], [1, 2])
+        chained = (mutual_info_gaussian(cov, [0], [1])
+                   + mutual_info_gaussian(cov, [0], [2], [1]))
         assert joint == pytest.approx(chained, rel=1e-9)
 
     def test_independent_blocks_have_zero_mi(self):
         cov = np.eye(4, dtype=complex)
-        assert gaussian.mutual_info_gaussian(cov, [0, 1], [2, 3]) == \
+        assert mutual_info_gaussian(cov, [0, 1], [2, 3]) == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_awgn_matches_shannon(self):
         snr = 7.0
         cov = np.array([[1.0, 1.0], [1.0, 1.0 + 1.0 / snr]], dtype=complex)
         # Y = X + N with unit-power X and 1/snr-power noise
-        assert gaussian.mutual_info_gaussian(cov, [0], [1]) == \
+        assert mutual_info_gaussian(cov, [0], [1]) == \
             pytest.approx(math.log2(1 + snr), rel=1e-9)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(gaussian.NonPsdInput):
-            gaussian.mutual_info_gaussian(
+        with pytest.raises(NonPsdInput):
+            mutual_info_gaussian(
                 np.array([[1.0, 2.0], [0.0, 1.0]]), [0], [1])
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(gaussian.NonPsdInput):
-            gaussian.mutual_info_gaussian(
+        with pytest.raises(NonPsdInput):
+            mutual_info_gaussian(
                 np.array([[1.0, 2.0], [2.0, 1.0]]), [0], [1])
 
 
 class TestSumBoundEvaluation:
     def test_stable_matches_logdet_route_at_moderate_snr(self):
         # two independent evaluations of the same three-term bound: the
-        # cancellation-free closed form and the generic 6x6 log-det path
+        # cancellation-free factor form and the generic 6x6 log-det path,
+        # on complex factors below full power and complex-phase channels
         rng = np.random.default_rng(11)
         for snr_db in (0.0, 10.0, 25.0):
             for alpha in (0.3, 0.8, 1.4, 2.0):
-                ch = gaussian.GaussianSymChannel.from_snr_alpha(
-                    snr_db, alpha, 3)
-                for _ in range(3):
-                    sigma = gaussian._sigma_from_vec(rng.normal(size=9))
-                    noise = gaussian._noise_from_rho(
-                        rng.uniform(-0.4, 0.4, 3))
-                    if noise is None:
-                        continue
-                    a = gaussian._th1_sum_k3(ch, sigma, noise)
-                    b = gaussian._th1_sum_k3_joint(ch, sigma, noise)
-                    assert a == pytest.approx(b, abs=1e-6)
+                for phase in (0.0, math.pi / 3, 2.5):
+                    ch = phased(snr_db, alpha, phase)
+                    for _ in range(3):
+                        l = (np.sqrt(rng.uniform(0.05, 1.0, 3))[:, None]
+                             * gaussian._factor_from_vec(rng.normal(size=8)))
+                        noise = gaussian._noise_from_rho(
+                            rng.uniform(-0.4, 0.4, 3))
+                        if noise is None:
+                            continue
+                        a = gaussian._th1_sum_k3(ch, l, noise)
+                        b = th1_sum_k3_joint(ch, l @ l.conj().T, noise)
+                        assert a == pytest.approx(b, abs=1e-6)
 
     def test_stable_route_survives_extreme_snr(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(50.0, 3.0, 3)
@@ -244,15 +313,54 @@ class TestSumBoundEvaluation:
         assert 0.0 < val <= gaussian.outer_sum(ch) + 1e-6
 
     def test_independent_noise_below_analytic_bound(self):
+        # _outer_general is the independent-noise bound; at 0 dB every
+        # alpha gives hd == hi, a MAC whose outer_sum assumes correlated
+        # noise and is exceeded by full-power inputs
         rng = np.random.default_rng(5)
         for snr_db in (0.0, 20.0, 50.0):
             for alpha in (0.5, 1.5, 2.5):
                 ch = gaussian.GaussianSymChannel.from_snr_alpha(
                     snr_db, alpha, 3)
                 for _ in range(5):
-                    sigma = gaussian._sigma_from_vec(rng.normal(size=9))
-                    val = gaussian._th1_sum_k3(ch, sigma, np.eye(3))
-                    assert val <= gaussian.outer_sum(ch) + 1e-6
+                    l = gaussian._factor_from_vec(rng.normal(size=8))
+                    val = gaussian._th1_sum_k3(ch, l, np.eye(3))
+                    assert val <= gaussian._outer_general(ch) + 1e-6
+
+    @given(factor_vecs, powers, st.floats(0.0, 40.0), st.floats(0.0, 3.0),
+           st.floats(0.0, 2 * math.pi), st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+    @settings(max_examples=150, deadline=None)
+    def test_lift_to_unit_diagonal_never_lowers_the_bound(
+            self, x, power, snr_db, alpha, phase, rho):
+        noise = gaussian._noise_from_rho(rho)
+        if noise is None:
+            return
+        ch = phased(snr_db, alpha, phase)
+        l = np.sqrt(power)[:, None] * gaussian._factor_from_vec(x)
+        lifted = gaussian._factor_from_vec(
+            gaussian._vec_from_sigma(l @ l.conj().T))
+        assert (gaussian._th1_sum_k3(ch, lifted, noise)
+                >= gaussian._th1_sum_k3(ch, l, noise) - 1e-9)
+
+    def test_factor_round_trip_reproduces_lifted_sigma(self):
+        # random covariances below full power, and DPC input covariances,
+        # whose lifts are singular under full beamforming
+        rng = np.random.default_rng(2)
+        sigmas = []
+        for _ in range(20):
+            l = (np.sqrt(rng.uniform(0.05, 0.95, 3))[:, None]
+                 * gaussian._factor_from_vec(rng.normal(size=8)))
+            sigmas.append(l @ l.conj().T)
+        ch = phased(30.0, 1.5, 1.0)
+        beamform = gaussian.DpcParams(
+            alpha=(cmath.rect(1.0, 1.0), 1.0 + 0j, 1.0 + 0j), beta=0j,
+            gamma=(0j, 0j))
+        for p in (gaussian.closed_form_params(ch),
+                  gaussian.successive_params(ch), beamform):
+            sigmas.append(gaussian.input_covariance(p, 3))
+        for sigma in sigmas:
+            lifted = sigma + np.diag(1.0 - np.diag(sigma))
+            back = gaussian._factor_from_vec(gaussian._vec_from_sigma(sigma))
+            assert np.abs(back @ back.conj().T - lifted).max() <= 1e-9
 
 
 class TestOptimizers:
@@ -283,6 +391,30 @@ class TestOptimizers:
                                         inner_hint=p)
         assert inner <= outer + 1e-6
         assert outer <= gaussian.outer_sum(ch) + 1e-9
+
+    @pytest.mark.parametrize("snr_db,alpha,phase", [
+        (30.0, 1.5, math.pi / 2), (30.0, 1.5, math.pi / 3),
+        (40.0, 2.0, 2.5)])
+    def test_outer_never_below_inner_for_complex_gain(self, snr_db, alpha,
+                                                       phase):
+        ch = phased(snr_db, alpha, phase)
+        p, inner = gaussian.optimize_inner(ch, budget=500, seed=0)
+        outer = gaussian.optimize_outer(ch, budget=500, seed=0, inner_hint=p)
+        assert inner - 1e-9 <= outer <= gaussian.outer_sum(ch) + 1e-9
+
+    def test_outer_below_inner_hint_raises(self, monkeypatch):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
+        p, _ = gaussian.optimize_inner(ch, budget=500, seed=0)
+        monkeypatch.setattr(gaussian, "_th1_sum_k3", lambda *a: 0.0)
+        with pytest.raises(gaussian.GapExceeded):
+            gaussian.optimize_outer(ch, budget=500, seed=0, inner_hint=p)
+
+    def test_outer_rejects_infeasible_hint(self):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
+        p = gaussian.DpcParams(alpha=(1.0 + 0j, 1.0 + 0j, 0j), beta=0.8 + 0j,
+                               gamma=(0.5 + 0j, 0.5 + 0j))
+        with pytest.raises(gaussian.PowerConstraintViolated):
+            gaussian.optimize_outer(ch, budget=10, inner_hint=p)
 
     def test_outer_starved_budget_falls_back_to_analytic(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
