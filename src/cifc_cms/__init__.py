@@ -11,6 +11,7 @@ from .gaussian import (
     additive_gap_certificate,
     analytic_gap_bound,
     closed_form_params,
+    closed_form_sum_rates,
     dpc_rates,
     optimize_inner,
     optimize_outer,
@@ -37,7 +38,7 @@ __all__ = [
     "f_function", "ldc3_sum_outer", "ldc_k_sym_sum_capacity",
     "build_sym_scheme", "build_generic3_scheme", "verify_scheme",
     "GaussianSymChannel", "DpcParams", "RateVector", "GapCertificate",
-    "outer_sum", "dpc_rates", "closed_form_params",
+    "outer_sum", "dpc_rates", "closed_form_params", "closed_form_sum_rates",
     "additive_gap_certificate", "analytic_gap_bound",
     "optimize_inner", "optimize_outer",
     "gdof_cms", "gdof_ifc", "gdof_bc", "curve_sweep", "empirical_gdof",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -80,20 +81,14 @@ def load_gains_file(path: str) -> ldc.LdcGains:
         raise ConfigError(f"bad gains file {path}: {exc}") from exc
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))  # numpy floats repr as "np.float64(...)"
-    return str(v)
-
-
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Cells must be str, int or Python float: csv writes a float as its
+    repr and anything else as str, so a numpy scalar or a bool would
+    leak its repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +105,7 @@ def cmd_ldc_verify(opts) -> int:
         report = ldc.verify_scheme(g, scheme)
         total = scheme.total_bits
         rows.append([nd, ni, g.k, total, outer_value,
-                     report.passed, report.mode])
+                     "true" if report.passed else "false", report.mode])
         # A verified scheme above the stated capacity refutes the bound.
         if not report.passed or total != outer_value:
             violated = True
@@ -215,7 +210,7 @@ def cmd_gdof_curves(opts) -> int:
             for alpha, d in curve.samples:
                 emp_in = emp_out = ""
                 if (opts.snr_db and model == "cms"
-                        and abs(alpha - 1.0) >= 0.1):
+                        and abs(alpha - 1.0) >= gdof.FIT_EXCLUSION):
                     est = gdof.empirical_gdof(k, alpha, opts.snr_db)
                     emp_in, emp_out = est.inner_slope, est.outer_slope
                 rows.append([model, k, alpha, d, d / k, emp_in, emp_out])
@@ -325,6 +320,30 @@ def _merge_config(opts: argparse.Namespace) -> argparse.Namespace:
     return opts
 
 
+# The Gaussian bounds square sums of gains, so K^2 times the largest
+# gain power must stay well inside the float range (about 3082 dB).
+_MAX_POWER_DB = 3000.0
+
+
+def _check_gaussian_grid(ks: list, snr_db: list, alphas: list) -> None:
+    """Reject SNR/alpha grids whose channels are not finite floats."""
+    if not all(math.isfinite(v) for v in snr_db + alphas):
+        raise ConfigError("snr-db and alpha values must be finite")
+    if not (ks and snr_db and alphas):
+        return
+    if min(snr_db) < -_MAX_POWER_DB:  # the SNR itself would underflow to 0
+        raise ConfigError(f"snr-db must be at least {-_MAX_POWER_DB:g}")
+    # A gain power is SNR^a in dB, a = 1 (direct) or alpha (interfering);
+    # snr_db * a is bilinear, so its maximum sits at a corner.
+    peak = max(s * a for s in (min(snr_db), max(snr_db))
+               for a in (1.0, min(alphas), max(alphas)))
+    if peak + 20.0 * math.log10(max(ks)) > _MAX_POWER_DB:
+        raise ConfigError(f"a gain power of {peak:g} dB (snr-db times 1 "
+                          f"or alpha) with k = {max(ks)} overflows floats; "
+                          f"keep it plus 20*log10(k) within "
+                          f"{_MAX_POWER_DB:g} dB")
+
+
 def _post_process(opts: argparse.Namespace) -> None:
     if opts.command == "ldc-verify":
         opts.nd = parse_grid(str(opts.nd), integer=True)
@@ -332,10 +351,20 @@ def _post_process(opts: argparse.Namespace) -> None:
         opts.k = parse_grid(str(opts.k), integer=True)
         if any(k < 2 for k in opts.k):
             raise ConfigError("k must be at least 2")
+        if any(n < 0 for n in opts.nd + opts.ni):
+            raise ConfigError("nd and ni must be non-negative")
+    elif opts.command == "ldc-outer":
+        if opts.samples < 0 or opts.max_gain < 0:
+            raise ConfigError("samples and max-gain must be non-negative")
     elif opts.command == "gaussian-gap":
         opts.k = parse_grid(str(opts.k), integer=True)
         opts.snr_db = parse_grid(str(opts.snr_db))
         opts.alpha = parse_grid(str(opts.alpha))
+        if any(k < 3 for k in opts.k):
+            raise ConfigError("the gap certificate needs k of at least 3")
+        if opts.budget < 0:
+            raise ConfigError("budget must be non-negative")
+        _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
     elif opts.command == "gdof-curves":
         opts.models = [m.strip() for m in str(opts.models).split(",")
                        if m.strip()]
@@ -346,6 +375,18 @@ def _post_process(opts: argparse.Namespace) -> None:
         opts.alpha = parse_grid(str(opts.alpha))
         opts.snr_db = (parse_grid(str(opts.snr_db))
                        if opts.snr_db not in (None, "") else [])
+        if any(k < 2 for k in opts.k):
+            raise ConfigError("k must be at least 2")
+        if not opts.alpha:
+            raise ConfigError("alpha grid must be non-empty")
+        if opts.alpha[0] < 0 or any(
+                b <= a for a, b in zip(opts.alpha, opts.alpha[1:])):
+            raise ConfigError("alpha grid must be non-negative and "
+                              "strictly increasing")
+        if opts.snr_db and len(set(opts.snr_db)) < 2:
+            raise ConfigError("slope fits need at least two distinct "
+                              "snr-db values")
+        _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
 
 
 _COMMANDS = {

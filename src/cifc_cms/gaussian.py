@@ -229,7 +229,18 @@ def closed_form_params(ch: GaussianSymChannel) -> DpcParams:
     k, hi2 = ch.k, ch.inr
     if hi2 < 1.0:
         return successive_params(ch)
-    phase = _primary_phase(ch.hi)
+    gk2, beta2, aj2, ak2 = _strong_powers(k, hi2)
+    alpha = [_primary_phase(ch.hi)]
+    alpha += [complex(math.sqrt(aj2))] * (k - 2)
+    alpha.append(complex(math.sqrt(ak2)))
+    gamma = [0j] * (k - 2) + [complex(math.sqrt(gk2))]
+    return DpcParams(alpha=tuple(alpha), beta=complex(math.sqrt(beta2)),
+                     gamma=tuple(gamma))
+
+
+def _strong_powers(k: int, hi2: float) -> tuple[float, float, float, float]:
+    """Squared closed-form coefficients for |hi|^2 >= 1: (gamma_K,
+    beta, alpha of the middle transmitters, alpha_K)."""
     gk2 = 1.0 / (1.0 + (k - 1) * hi2)
     if k == 2:
         beta2 = 0.0
@@ -241,12 +252,52 @@ def closed_form_params(ch: GaussianSymChannel) -> DpcParams:
         beta2 = (1.0 - gk2) / (k - 2)
         ak2 = 0.0
     aj2 = 1.0 - beta2  # middle transmitters put the rest on beamforming
-    alpha = [phase]
-    alpha += [complex(math.sqrt(aj2))] * (k - 2)
-    alpha.append(complex(math.sqrt(max(0.0, ak2))))
-    gamma = [0j] * (k - 2) + [complex(math.sqrt(gk2))]
-    return DpcParams(alpha=tuple(alpha), beta=complex(math.sqrt(beta2)),
-                     gamma=tuple(gamma))
+    return gk2, beta2, aj2, max(0.0, ak2)
+
+
+def closed_form_sum_rates(ch: GaussianSymChannel) -> tuple[float, float]:
+    """(coherent, successive): dpc_rates(ch, p).total for p =
+    closed_form_params(ch) and successive_params(ch), bit for bit,
+    without building either parameter set.
+
+    The arithmetic mirrors dpc_rates and DpcParams.validate: each
+    coefficient is a math.sqrt squared with ** 2, the beamforming
+    coefficients are summed as the same complex sequence, a zero gamma
+    adds an exact 0.0, and every rate, the repeated middle-user ones
+    included, is its own term of one sum().  Only the strong-interference
+    powers can exceed the slack (a unit phase and unit powers cannot);
+    they raise PowerConstraintViolated as validate would.
+    """
+    k, hd = ch.k, ch.hd
+    log1p = math.log1p
+    hi_mag = abs(ch.hi)
+    hi2 = hi_mag ** 2
+    hd2 = hd ** 2
+    # successive_params: gamma = 1 everywhere, so sum(g2[j-1:]) = k - j
+    successive = sum([log1p(hd2 / (1.0 + hi2 * (k - j))) / _LN2
+                      for j in range(1, k)] + [log1p(hd2) / _LN2])
+    if hi2 < 1.0:
+        return successive, successive
+
+    gk2, beta2, aj2, ak2 = _strong_powers(k, hi2)
+    a_mid, a_last = math.sqrt(aj2), math.sqrt(ak2)
+    b2 = math.sqrt(beta2) ** 2
+    g2 = math.sqrt(gk2) ** 2
+    slack = TOL.power_slack
+    used = b2 + a_mid ** 2
+    if k > 2 and used > 1 + slack:
+        raise PowerConstraintViolated(f"transmitter 2 power {used:.12f} > 1")
+    used_k = g2 + (k - 2) * b2 + a_last ** 2
+    if used_k > 1 + slack:
+        raise PowerConstraintViolated(
+            f"transmitter {k} power {used_k:.12f} > 1")
+    den = 1.0 + hi2 * g2
+    beam = sum([complex(a_mid)] * (k - 2) + [complex(a_last)])
+    rates = [log1p(abs(hd + hi_mag * beam) ** 2 / den) / _LN2]
+    if k > 2:
+        rates += [log1p(abs(hd - ch.hi) ** 2 * b2 / den) / _LN2] * (k - 2)
+    rates.append(log1p(hd2 * g2) / _LN2)
+    return sum(rates), successive
 
 
 def analytic_gap_bound(k: int) -> float:
@@ -296,12 +347,13 @@ def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
     """Closed-form inner vs. analytic outer, with the Th.-5 bound check."""
     if ch.k < 3:
         raise ValueError("certificate stated for k >= 3")
-    candidates = [("coherent", closed_form_params(ch))]
-    if ch.inr >= 1.0:
-        candidates.append(("successive", successive_params(ch)))
-    branch, inner = max(
-        ((name, dpc_rates(ch, prm).total) for name, prm in candidates),
-        key=lambda t: t[1])
+    # Below |hi|^2 = 1 both choices are the successive one; ties keep
+    # the coherent label.
+    coherent, successive = closed_form_sum_rates(ch)
+    if successive > coherent:
+        branch, inner = "successive", successive
+    else:
+        branch, inner = "coherent", coherent
     outer = outer_sum(ch)
     gap = outer - inner
     bound = analytic_gap_bound(ch.k)
@@ -311,16 +363,17 @@ def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
             f"at hd={ch.hd}, hi={ch.hi}, k={ch.k}")
     bf = beamforming_inner(ch)
     ratio = outer / bf if bf > 0 else float("nan")
+    is_mac = ch.is_mac
     return GapCertificate(
         inner=inner,
         outer=outer,
         additive_gap=gap,
         analytic_gap_bound=bound,
         multiplicative_ratio=ratio,
-        outer_branch="mac" if ch.is_mac else "general",
+        outer_branch="mac" if is_mac else "general",
         inner_branch=branch,
         outer_mac=_outer_mac(ch),
-        outer_general=_outer_general(ch),
+        outer_general=_outer_general(ch) if is_mac else outer,
     )
 
 
@@ -770,4 +823,4 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     if inner is not None and outer < inner - TOL.eq:
         raise GapExceeded(f"optimized outer bound {outer:.6f} is below "
                           f"the inner_hint rate {inner:.6f}")
-    return outer
+    return float(outer)  # not a numpy scalar, which csv writes by repr

@@ -20,6 +20,10 @@ from . import gaussian
 
 MODELS = ("cms", "ifc", "bc")
 
+# Slope fits are ill-posed within this distance of the alpha = 1
+# discontinuity.
+FIT_EXCLUSION = 0.1
+
 
 @dataclass(frozen=True)
 class GdofCurve:
@@ -112,15 +116,14 @@ def empirical_gdof(k: int, alpha: float, snr_db_list) -> SlopeEstimate:
     snr_dbs = [float(s) for s in snr_db_list]
     if len(snr_dbs) < 2:
         raise ValueError("need at least two SNR points for a slope fit")
-    if abs(alpha - 1.0) < 0.1:
+    if abs(alpha - 1.0) < FIT_EXCLUSION:
         raise ValueError("slope fit is ill-posed in the alpha = 1 "
                          "discontinuity neighborhood")
     xs, inner_ys, outer_ys = [], [], []
     for snr_db in snr_dbs:
         ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
         xs.append(math.log2(1.0 + ch.snr))
-        params = gaussian.closed_form_params(ch)
-        inner_ys.append(gaussian.dpc_rates(ch, params).total)
+        inner_ys.append(gaussian.closed_form_sum_rates(ch)[0])
         outer_ys.append(gaussian.outer_sum(ch))
     inner_slope = float(np.polyfit(xs, inner_ys, 1)[0])
     outer_slope = float(np.polyfit(xs, outer_ys, 1)[0])

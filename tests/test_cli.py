@@ -1,8 +1,12 @@
 """Command-line interface: grids, config files, CSV output, exit codes."""
 
+import math
+import types
+
+import numpy as np
 import pytest
 
-from cifc_cms import cli
+from cifc_cms import cli, gaussian, gdof
 
 
 class TestParseGrid:
@@ -103,6 +107,17 @@ class TestLdcVerify:
                        "--out", str(out)])
         assert rc == 1
         assert out.read_text().splitlines()[1] == "2,1,3,5,4,true,exhaustive"
+
+    def test_failed_verification_writes_false(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            cli.ldc, "verify_scheme",
+            lambda g, s: types.SimpleNamespace(passed=False,
+                                               mode="exhaustive"))
+        out = tmp_path / "v.csv"
+        rc = cli.main(["ldc-verify", "--nd", "2", "--ni", "1", "--k", "3",
+                       "--out", str(out)])
+        assert rc == 1
+        assert out.read_text().splitlines()[1] == "2,1,3,5,5,false,exhaustive"
 
     def test_bad_gains_file(self, tmp_path):
         gains = tmp_path / "g.txt"
@@ -230,3 +245,108 @@ class TestGdofCurves:
         by_alpha = {line.split(",")[2]: line.split(",") for line in lines[1:]}
         assert by_alpha["1.0"][5] == ""      # no fit at the discontinuity
         assert by_alpha["1.5"][5] != ""
+
+
+# Bad input: each probe exits 2 with a message instead of a traceback.
+@pytest.mark.parametrize("argv", [
+    ["gaussian-gap", "--k", "2"],
+    ["gaussian-gap", "--snr-db", "4000"],
+    ["gaussian-gap", "--snr-db=-100", "--alpha=-40"],
+    ["gaussian-gap", "--snr-db", "nan"],
+    ["gaussian-gap", "--snr-db=-4000", "--alpha=-0.5"],
+    ["gaussian-gap", "--budget=-5"],
+    ["gdof-curves", "--k", "1"],
+    ["gdof-curves", "--alpha=-1"],
+    ["gdof-curves", "--alpha", "1,0.5"],
+    ["gdof-curves", "--alpha", ""],
+    ["gdof-curves", "--snr-db", "40"],
+    ["gdof-curves", "--snr-db", "40,40"],
+    ["gdof-curves", "--snr-db", "40,4000"],
+    ["ldc-verify", "--nd=-1"],
+    ["ldc-verify", "--ni=-2"],
+    ["ldc-outer", "--max-gain=-1"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gain_power_limit_counts_k(tmp_path):
+    # 2990 dB alone fits; with k = 8 the 18 dB of k^2 pushes it past
+    ok = ["gaussian-gap", "--k", "3", "--snr-db", "2990", "--alpha", "0.5"]
+    assert cli.main(ok + ["--out", str(tmp_path / "a.csv")]) == 0
+    bad = ["gaussian-gap", "--k", "8", "--snr-db", "2990", "--alpha", "0.5"]
+    assert cli.main(bad + ["--out", str(tmp_path / "b.csv")]) == 2
+
+
+# CSV bytes against a test-side oracle: the general dpc_rates path and a
+# per-row repr writer.
+
+def oracle_cell(v):
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def oracle_csv(header, rows):
+    return "".join(",".join(map(oracle_cell, row)) + "\r\n"
+                   for row in [header] + rows).encode()
+
+
+def slow_inner(ch):
+    inner = gaussian.dpc_rates(ch, gaussian.closed_form_params(ch)).total
+    if ch.inr >= 1.0:
+        inner = max(inner, gaussian.dpc_rates(
+            ch, gaussian.successive_params(ch)).total)
+    return inner
+
+
+def test_gaussian_gap_bytes_match_oracle(tmp_path):
+    rows = []
+    for k in (3, 4, 6):
+        for snr_db in (-10.0, 0.0, 17.5, 40.0):
+            for alpha in (0.0, 0.5, 1.0, 1.5, 2.75):
+                ch = gaussian.GaussianSymChannel.from_snr_alpha(
+                    snr_db, alpha, k)
+                inner, outer = slow_inner(ch), gaussian.outer_sum(ch)
+                bf = gaussian.beamforming_inner(ch)
+                rows.append([k, snr_db, alpha, outer, inner, outer - inner,
+                             gaussian.analytic_gap_bound(k), "", "", "",
+                             outer / bf if bf > 0 else float("nan")])
+    header = ["k", "snr_db", "alpha", "outer_analytic", "inner_closed",
+              "gap_analytic_observed", "gap_bound", "inner_opt",
+              "outer_opt", "gap_numeric", "mult_ratio"]
+    out = tmp_path / "g.csv"
+    assert cli.main(["gaussian-gap", "--k", "3,4,6",
+                     "--snr-db=-10,0,17.5,40", "--alpha", "0,0.5,1,1.5,2.75",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_csv(header, rows)
+
+
+def test_gdof_curves_bytes_match_oracle(tmp_path):
+    alphas, snrs = [0.0, 0.5, 1.0, 1.05, 1.5, 2.0], [40.0, 50.0, 60.0]
+    funcs = {"cms": gdof.gdof_cms, "bc": gdof.gdof_bc}
+    rows = []
+    for model, fn in funcs.items():
+        for k in (2, 3):
+            for alpha in alphas:
+                d = fn(alpha, k)
+                emp_in = emp_out = ""
+                if model == "cms" and abs(alpha - 1.0) >= 0.1:
+                    chs = [gaussian.GaussianSymChannel.from_snr_alpha(
+                        s, alpha, k) for s in snrs]
+                    xs = [math.log2(1.0 + ch.snr) for ch in chs]
+                    emp_in, emp_out = (
+                        float(np.polyfit(xs, ys, 1)[0]) for ys in (
+                            [gaussian.dpc_rates(
+                                ch, gaussian.closed_form_params(ch)).total
+                             for ch in chs],
+                            [gaussian.outer_sum(ch) for ch in chs]))
+                rows.append([model, k, alpha, d, d / k, emp_in, emp_out])
+    header = ["model", "k", "alpha", "d", "d_normalized",
+              "d_emp_inner", "d_emp_outer"]
+    out = tmp_path / "d.csv"
+    assert cli.main(["gdof-curves", "--models", "cms,bc", "--k", "2,3",
+                     "--alpha", "0,0.5,1,1.05,1.5,2", "--snr-db", "40,50,60",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_csv(header, rows)

@@ -189,6 +189,50 @@ class TestClosedFormParams:
         assert p.alpha[0] == pytest.approx(1.0j)
 
 
+def slow_sum_rates(ch):
+    """The general path that closed_form_sum_rates replaces."""
+    return (gaussian.dpc_rates(ch, gaussian.closed_form_params(ch)).total,
+            gaussian.dpc_rates(ch, gaussian.successive_params(ch)).total)
+
+
+class TestClosedFormSumRates:
+    @given(st.integers(2, 8), st.floats(-20.0, 80.0), st.floats(0.0, 4.0),
+           st.none() | st.floats(-math.pi, math.pi))
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_dpc_rates(self, k, snr_db, alpha, phase):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
+        if phase is not None:
+            ch = gaussian.GaussianSymChannel(
+                ch.hd, cmath.rect(abs(ch.hi), phase), k)
+        assert gaussian.closed_form_sum_rates(ch) == slow_sum_rates(ch)
+
+    @pytest.mark.parametrize("snr_db,alpha,k", [
+        (20.0, 1.0, 3),    # hi == hd: the MAC point
+        (30.0, 0.0, 4),    # |hi|^2 == 1: first strong-interference point
+        (40.0, 1.5, 2),    # no middle transmitters
+        (40.0, 0.5, 2)])
+    def test_pinned_points(self, snr_db, alpha, k):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
+        assert gaussian.closed_form_sum_rates(ch) == slow_sum_rates(ch)
+
+    def test_weak_interference_choices_coincide(self):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(-10.0, 0.5, 5)
+        assert ch.inr < 1.0
+        coherent, successive = gaussian.closed_form_sum_rates(ch)
+        assert coherent == successive
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_power_check_matches_validate(self, monkeypatch, k):
+        # with a negative slack the full-power closed form no longer fits
+        monkeypatch.setattr(gaussian, "TOL",
+                            gaussian.Tolerances(power_slack=-1e-6))
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(30.0, 1.5, k)
+        with pytest.raises(gaussian.PowerConstraintViolated):
+            gaussian.dpc_rates(ch, gaussian.closed_form_params(ch))
+        with pytest.raises(gaussian.PowerConstraintViolated):
+            gaussian.closed_form_sum_rates(ch)
+
+
 class TestGapCertificate:
     def test_analytic_bound_values(self):
         assert gaussian.analytic_gap_bound(3) == 6.0
