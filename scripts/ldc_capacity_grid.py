@@ -21,7 +21,6 @@ def main() -> int:
         "--nd", f"0:{args.max_gain}",
         "--ni", f"0:{args.max_gain}",
         "--k", "3,4,5",
-        "--seed", str(args.seed),
         "--out", f"{args.out_prefix}_verify.csv",
     ])
     if rc:

@@ -22,7 +22,7 @@ from .ldc import (
     LdcGains,
     LdcScheme,
     SumRateBound,
-    build_generic3_scheme,
+    build_chain_scheme,
     build_sym_scheme,
     f_function,
     ldc3_sum_outer,
@@ -36,7 +36,7 @@ __all__ = [
     "gf2", "ldc", "gaussian", "gdof",
     "LdcGains", "LdcScheme", "SumRateBound",
     "f_function", "ldc3_sum_outer", "ldc_k_sym_sum_capacity",
-    "build_sym_scheme", "build_generic3_scheme", "verify_scheme",
+    "build_sym_scheme", "build_chain_scheme", "verify_scheme",
     "GaussianSymChannel", "DpcParams", "RateVector", "GapCertificate",
     "outer_sum", "dpc_rates", "closed_form_params", "closed_form_sum_rates",
     "additive_gap_certificate", "analytic_gap_bound",

@@ -45,7 +45,7 @@ def parse_grid(spec: str, integer: bool = False) -> list:
             vals = [v for v in vals if v <= stop + 1e-9]
             return [conv(round(v, 12)) for v in vals]
         return [conv(p) for p in spec.split(",") if p.strip() != ""]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
 
 
@@ -115,7 +115,7 @@ def cmd_ldc_verify(opts) -> int:
         if g.k != 3:
             raise ConfigError("explicit gain matrices must be 3x3")
         outer = ldc.ldc3_sum_outer(g).value
-        scheme = ldc.build_generic3_scheme(g, seed=opts.seed)
+        scheme = ldc.build_chain_scheme(g)
         run_scheme(g, scheme, "", "", outer)
     else:
         for k in opts.k:
@@ -226,7 +226,6 @@ def cmd_gdof_curves(opts) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file; flags override")
     p.add_argument("--out", help="output CSV path")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the 3-user sum-rate outer bound "
                             "and certify it by a rank count")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--gains-file", help="explicit 3x3 gain matrix file")
     p.add_argument("--samples", type=int,
                    help="number of random gain matrices (default 10)")
@@ -259,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="additive/multiplicative gap certificates "
                             "over an (SNR, alpha, K) grid")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--k", help="user-count list (default 3)")
     p.add_argument("--snr-db", help="SNR list in dB (default 20)")
     p.add_argument("--alpha", help="alpha grid (default 0:3:0.25)")
@@ -283,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {
     "ldc-verify": {"nd": "0:4", "ni": "0:4", "k": "3", "gains_file": None,
-                   "seed": 0, "out": "ldc_verify.csv"},
+                   "out": "ldc_verify.csv"},
     "ldc-outer": {"gains_file": None, "samples": 10, "max_gain": 3,
                   "seed": 0, "out": "ldc_outer.csv"},
     "gaussian-gap": {"k": "3", "snr_db": "20", "alpha": "0:3:0.25",
                      "budget": 0, "seed": 0, "out": "gaussian_gap.csv"},
     "gdof-curves": {"models": "cms,ifc,bc", "k": "3", "alpha": "0:3:0.25",
-                    "snr_db": None, "discontinuity": False, "seed": 0,
+                    "snr_db": None, "discontinuity": False,
                     "out": "gdof_curves.csv"},
 }
 
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (gaussian.GapExceeded, ldc.SchemeSearchFailed) as exc:
+    except gaussian.GapExceeded as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
 

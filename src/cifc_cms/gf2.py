@@ -153,57 +153,3 @@ def nullspace(a: np.ndarray) -> np.ndarray:
             basis[pc, j] = r[pr, fc]
     return basis
 
-
-class _IncrementalBasis:
-    """Maintains a reduced basis for cheap independence queries."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[np.ndarray] = []   # reduced, sorted by leading index
-        self.leads: list[int] = []
-
-    def add(self, v: np.ndarray) -> bool:
-        """Reduce v against the basis; insert and return True if independent."""
-        v = v.copy()
-        for lead, row in zip(self.leads, self.rows):
-            if v[lead]:
-                v ^= row
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        lead = int(nz[0])
-        pos = int(np.searchsorted(self.leads, lead))
-        self.leads.insert(pos, lead)
-        self.rows.insert(pos, v)
-        return True
-
-
-def basis_complete(span: np.ndarray, candidates: np.ndarray) -> list[int]:
-    """Indices of candidate columns that extend a basis of col(span).
-
-    The returned set is maximal: its size equals
-    rank([span | candidates]) - rank(span).  Scans candidates left to
-    right, keeping each column that enlarges the running span.
-    """
-    span = as_bits(span)
-    candidates = as_bits(candidates)
-    if span.shape[0] != candidates.shape[0]:
-        raise ValueError(f"row mismatch: {span.shape} vs {candidates.shape}")
-    basis = _IncrementalBasis(span.shape[0])
-    for j in range(span.shape[1]):
-        basis.add(span[:, j])
-    chosen: list[int] = []
-    for j in range(candidates.shape[1]):
-        if basis.add(candidates[:, j]):
-            chosen.append(j)
-    return chosen
-
-
-def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random invertible n x n matrix (rejection sampling)."""
-    if n == 0:
-        return zeros(0, 0)
-    while True:
-        m = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-        if rank(m) == n:
-            return m

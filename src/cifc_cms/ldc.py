@@ -5,7 +5,9 @@ The channel is Y_l = sum_i S^(m - n[l][i]) X_i over GF(2), where the
 gains n[l][i] count delivered bit levels and m is the largest gain.
 All rates here are exact integers (bits per channel use at blocklength
 one) and every check is exact GF(2) arithmetic: the dominance check of
-the outer bound is a rank count, not an entropy evaluation.
+the outer bound is a rank count, not an entropy evaluation.  For any K
+and any gains, build_chain_scheme constructs a scheme whose sum rate
+equals that rank count, chain_rank_bound.
 """
 
 from __future__ import annotations
@@ -15,15 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-
-GENERIC3_MAX_RETRIES = 10_000
-
-
-class SchemeSearchFailed(RuntimeError):
-    """The constructive build plus randomized fallback missed the bound.
-
-    This signals a bug or an unhandled corner, never silent degradation.
-    """
 
 
 @dataclass(frozen=True)
@@ -219,12 +212,10 @@ def _sym_encoders(nd: int, ni: int, k: int) -> LdcScheme:
     rates = tuple([m] * (k - 1) + [t])
     total = (k - 1) * m + t
 
-    # Block selectors of the construction: top ni rows pass-through and
-    # bottom [nd-ni]^+ rows pass-through.
+    # Block selector of the construction: top ni rows pass-through.
     b_top = gf2.zeros(m, m)
     ni_eff = min(ni, m)
     b_top[:ni_eff, :ni_eff] = gf2.identity(ni_eff)
-    b_bot = gf2.add(gf2.identity(m), b_top)
 
     encoders = []
     for j in range(k - 1):
@@ -253,7 +244,9 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
     1..K-1 send their own message untouched and transmitter K both
     pre-cancels the aggregate interference and sneaks its own bits into
     the levels unseen by the other receivers.  For nd == ni the channel
-    is a MAC and a single-user corner scheme carries nd bits.
+    is a MAC and a single-user corner scheme carries nd bits.  Only
+    transmitter K needs cognition here, unlike build_chain_scheme,
+    which reaches the same sum rate.
     """
     if nd < 0 or ni < 0 or k < 2:
         raise ValueError("need nd >= 0, ni >= 0, k >= 2")
@@ -273,125 +266,48 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
                      decoders=tuple(decoders))
 
 
-def _generic3_encoders(g: LdcGains, rng: np.random.Generator | None
-                       ) -> LdcScheme | None:
-    """One construction attempt; None if a decoder does not exist."""
-    n, m = g.n, g.m
-    h = [[g.channel_matrix(l, i) for i in range(3)] for l in range(3)]
+def build_chain_scheme(g: LdcGains) -> LdcScheme:
+    """Layered scheme for arbitrary K-user gains that meets
+    chain_rank_bound.
 
-    r1 = max(n[0][0], n[0][1], n[0][2])
-    q = max(n[0][2], n[1][2])
-    r3 = positive_part(n[2][2] - q)
-    r2 = f_function(n[1][1], n[1][2], n[0][1], n[0][2])
-    rates = (r1, r2, r3)
-    total = r1 + r2 + r3
-
-    # Layer 1: pick r1 input coordinates (across all three transmitters)
-    # whose images at Y_1 are independent.
-    cand1 = np.hstack([h[0][0], h[0][1], h[0][2]])
-    t1 = gf2.identity(3 * m)
-    if rng is not None:
-        t1 = gf2.random_invertible(3 * m, rng)
-        cand1 = gf2.matmul(cand1, t1)
-    idx1 = gf2.basis_complete(gf2.zeros(m, 0), cand1)
-    if len(idx1) != r1:
-        return None
-    l1 = t1[:, idx1]                       # 3m x r1, per-transmitter blocks
-    l1_x1, l1_x2, l1_x3 = l1[:m], l1[m:2 * m], l1[2 * m:]
-
-    # Layer 2 lives in the kernel of the Y_1 map on (X_2, X_3): invisible
-    # to receiver 1, with independent images at Y_2.
-    b_map = np.hstack([h[0][1], h[0][2]])   # (X_2, X_3) -> Y_1
-    a_map = np.hstack([h[1][1], h[1][2]])   # (X_2, X_3) -> Y_2
-    ker = gf2.nullspace(b_map)
-    if rng is not None and ker.shape[1]:
-        ker = gf2.matmul(ker, gf2.random_invertible(ker.shape[1], rng))
-    w_img = gf2.matmul(a_map, ker)
-    idx2 = gf2.basis_complete(gf2.zeros(m, 0), w_img)
-    if len(idx2) != r2:
-        return None
-    l2 = ker[:, idx2]                      # 2m x r2
-    w_basis = w_img[:, idx2]               # m x r2, spans the layer-2 image
-
-    # Pre-cancel the W_1 components at Y_2 that fall inside the layer-2
-    # image space; the correction is invisible at Y_1 by construction.
-    n1 = g.receive(1, (l1_x1, l1_x2, l1_x3))
-    if r2:
-        idx_r = gf2.basis_complete(w_basis, gf2.identity(m))
-        comp = gf2.identity(m)[:, idx_r]
-        z = gf2.solve(np.hstack([w_basis, comp]), n1)
-        if z is None:
-            return None
-        corr = gf2.matmul(l2, z[:r2])      # 2m x r1 kernel-space correction
-        l1_x2 = gf2.add(l1_x2, corr[:m])
-        l1_x3 = gf2.add(l1_x3, corr[m:])
-        n1 = gf2.add(n1, gf2.matmul(w_basis, z[:r2]))
-
-    # Private layer for user 3: bits placed below the levels any other
-    # receiver can see, then shifted so they land on the bottom r3
-    # positions of Y_3, with the interference there pre-subtracted (the
-    # GF(2) analogue of dirty paper coding).
-    up = gf2.zeros(m, r3)
-    up[:r3, :] = gf2.identity(r3)
-    s_q = gf2.shift_matrix(m, q)
-    priv = gf2.matmul(s_q, up)             # m x r3 placement in X_3
-
-    # Assemble encoders (message layout: w1 | w2 | w3).
-    e1 = gf2.zeros(m, total)
-    e1[:, :r1] = l1_x1
-    e2 = gf2.zeros(m, total)
-    e2[:, :r1] = l1_x2
-    if r2:
-        e2[:, r1:r1 + r2] = l2[:m]
-    e3 = gf2.zeros(m, total)
-    e3[:, :r1] = l1_x3
-    if r2:
-        e3[:, r1:r1 + r2] = l2[m:]
-    e3[:, r1 + r2:] = priv
-
-    if r3:
-        # Interference seen on the bottom r3 levels of Y_3 from the w1/w2
-        # layers; transmitter 3 knows it exactly and pre-adds it.
-        c = g.receive(2, (e1, e2, e3))[m - r3:, :r1 + r2]
-        e3[:, :r1 + r2] = gf2.add(e3[:, :r1 + r2],
-                                  gf2.matmul(priv, c))
-
-    encoders = (e1, e2, e3)
-
-    # Decoders by solving D @ G_l == message selector.
-    decoders = []
-    for l in range(3):
-        comp = g.receive(l, encoders)
-        sel = gf2.zeros(rates[l], total)
-        off = sum(rates[:l])
-        sel[:, off:off + rates[l]] = gf2.identity(rates[l])
-        d = gf2.solve(comp.T, sel.T)
-        if d is None:
-            return None
-        decoders.append(d.T)
-    return LdcScheme(rates=rates, encoders=encoders, decoders=tuple(decoders))
-
-
-def build_generic3_scheme(g: LdcGains,
-                          max_retries: int = GENERIC3_MAX_RETRIES,
-                          seed: int = 0) -> LdcScheme:
-    """Sum-capacity achieving scheme for arbitrary 3-user gains.
-
-    The deterministic greedy construction is tried first; if it misses
-    (no decoder exists), bounded randomized re-parameterizations of the
-    message coordinates are tried before raising SchemeSearchFailed.
+    Layer l sends user l's bits along input directions that X_<l and
+    Y_<l cannot see (so only transmitters l..K use them), chosen to have
+    independent images at Y_l; their number is the rank increment of
+    Y_l over (X_<l, Y_<l).  Decoder l is a left inverse of those
+    images, and the earlier layers are then pre-cancelled at Y_l by
+    adding layer-l directions, which leaves Y_<l untouched.  Linear
+    algebra alone reaches the bound: no search.
     """
+    k, m = g.k, g.m
+    enc = gf2.zeros(k * m, 0)        # joint input per message bit
+    ker = gf2.identity(k * m)        # directions X_<l, Y_<l cannot see
+    rates, decoders = [], []
+    for l in range(k):
+        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
+        img = gf2.matmul(y, ker)
+        cols = gf2.row_echelon(img)[1]   # pivots: a basis of the image
+        v = ker[:, cols]
+        d = gf2.solve(img[:, cols].T, gf2.identity(len(cols))).T
+        # d is a left inverse of layer l's images, so after this update
+        # d @ y annihilates every earlier layer.
+        enc = gf2.add(enc, gf2.matmul(v, gf2.matmul(d, gf2.matmul(y, enc))))
+        enc = np.hstack([enc, v])
+        rates.append(len(cols))
+        decoders.append(d)
+        if l < k - 1:
+            x_l = ker[l * m:(l + 1) * m]   # X_l on the kernel
+            ker = gf2.matmul(ker, gf2.nullspace(np.vstack([img, x_l])))
+    return LdcScheme(rates=tuple(rates),
+                     encoders=tuple(enc[i * m:(i + 1) * m]
+                                    for i in range(k)),
+                     decoders=tuple(decoders))
+
+
+def build_generic3_scheme(g: LdcGains, seed: int = 0) -> LdcScheme:
+    """build_chain_scheme restricted to k == 3; seed is ignored."""
     if g.k != 3:
         raise ValueError("build_generic3_scheme requires k == 3")
-    scheme = _generic3_encoders(g, rng=None)
-    if scheme is not None:
-        return scheme
-    rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
-        scheme = _generic3_encoders(g, rng=rng)
-        if scheme is not None:
-            return scheme
-    raise SchemeSearchFailed(f"no scheme found for gains {g.n}")
+    return build_chain_scheme(g)
 
 
 def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cifc_cms import gaussian, gdof, gf2, ldc
+from test_gf2 import random_invertible
 from test_ldc import entropy_sum
 
 
@@ -40,7 +41,7 @@ def test_generic_3user_schemes_meet_outer_bound():
                    for nd, ni in itertools.product(range(4), repeat=2)]
     for g in gains_list:
         outer = ldc.ldc3_sum_outer(g).value
-        s = ldc.build_generic3_scheme(g, seed=0)
+        s = ldc.build_chain_scheme(g)
         assert s.total_bits == outer, g.n
         assert s.respects_cms(), g.n
         assert ldc.verify_scheme(g, s, mode="auto", seed=0).passed, g.n
@@ -171,7 +172,7 @@ class TestGf2PropertySuite:
         rng = np.random.default_rng(0)
         for n in range(1, 11):
             for _ in range(20):
-                m = gf2.random_invertible(n, rng)
+                m = random_invertible(n, rng)
                 inv = gf2.invert(m)
                 assert np.array_equal(gf2.matmul(m, inv), gf2.identity(n))
                 assert np.array_equal(gf2.matmul(inv, m), gf2.identity(n))

@@ -265,12 +265,27 @@ class TestGdofCurves:
     ["ldc-verify", "--nd=-1"],
     ["ldc-verify", "--ni=-2"],
     ["ldc-outer", "--max-gain=-1"],
+    ["ldc-verify", "--nd", "0:1e400"],
+    ["gaussian-gap", "--snr-db", "0:1e400"],
+    ["gaussian-gap", "--alpha", "0:1e300:1e-300"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ldc-verify", "gdof-curves"])
+def test_seed_is_not_an_option_of(command, tmp_path):
+    # neither command draws random numbers
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\n")
+    assert cli.main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
 def test_gain_power_limit_counts_k(tmp_path):

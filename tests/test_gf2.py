@@ -12,6 +12,14 @@ def random_matrix(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
+def random_invertible(n, rng):
+    """Random invertible n x n matrix (rejection sampling)."""
+    while True:
+        m = random_matrix(rng, n, n)
+        if gf2.rank(m) == n:
+            return m
+
+
 class TestShiftMatrix:
     def test_identity_at_zero(self):
         assert np.array_equal(gf2.shift_matrix(4, 0), np.eye(4, dtype=np.uint8))
@@ -70,7 +78,7 @@ class TestInvert:
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     def test_inverse_round_trip(self, n, seed):
         rng = np.random.default_rng(seed)
-        m = gf2.random_invertible(n, rng)
+        m = random_invertible(n, rng)
         inv = gf2.invert(m)
         assert np.array_equal(gf2.matmul(m, inv), gf2.identity(n))
         assert np.array_equal(gf2.matmul(inv, m), gf2.identity(n))
@@ -114,18 +122,14 @@ class TestNullspace:
             assert gf2.rank(ker) == ker.shape[1]
 
 
-class TestBasisComplete:
-    @given(st.integers(1, 7), st.integers(0, 5), st.integers(1, 9),
-           st.integers(0, 2 ** 31 - 1))
-    def test_matches_rank_difference(self, dim, span_cols, cand_cols, seed):
+class TestRowEchelon:
+    @given(st.integers(1, 7), st.integers(1, 9), st.integers(0, 2 ** 31 - 1))
+    def test_pivot_columns_are_a_basis(self, rows, cols, seed):
+        # build_chain_scheme takes its layer basis from these pivots
         rng = np.random.default_rng(seed)
-        span = random_matrix(rng, dim, span_cols)
-        cand = random_matrix(rng, dim, cand_cols)
-        chosen = gf2.basis_complete(span, cand)
-        expected = gf2.rank(np.hstack([span, cand])) - gf2.rank(span)
-        assert len(chosen) == expected
-        stacked = np.hstack([span, cand[:, chosen]])
-        assert gf2.rank(stacked) == gf2.rank(span) + len(chosen)
+        m = random_matrix(rng, rows, cols)
+        pivots = gf2.row_echelon(m)[1]
+        assert gf2.rank(m[:, pivots]) == len(pivots) == gf2.rank(m)
 
 
 class TestIdentityPlusShiftFullRank:

@@ -110,10 +110,12 @@ def small_schemes(draw):
         g = ldc.LdcGains.symmetric(nd, ni, k)
         s = ldc.build_sym_scheme(nd, ni, k)
     else:
+        # m <= 3 keeps even a K = 4 chain scheme within 12 bits
+        k = draw(st.integers(3, 4))
         g = ldc.LdcGains.from_matrix(draw(st.lists(
-            st.lists(st.integers(0, 3), min_size=3, max_size=3),
-            min_size=3, max_size=3)))
-        s = ldc.build_generic3_scheme(g)
+            st.lists(st.integers(0, 3), min_size=k, max_size=k),
+            min_size=k, max_size=k)))
+        s = ldc.build_chain_scheme(g)
     kind = draw(st.sampled_from(["none", "encoder", "decoder", "zero"]))
     if kind == "none":
         return g, s
@@ -252,7 +254,7 @@ class TestGenericScheme3:
     ])
     def test_hits_outer_bound_and_verifies(self, n):
         g = ldc.LdcGains.from_matrix(n)
-        s = ldc.build_generic3_scheme(g)
+        s = ldc.build_chain_scheme(g)
         assert s.total_bits == ldc.ldc3_sum_outer(g).value
         assert s.respects_cms()
         assert ldc.verify_scheme(g, s, mode="exhaustive").passed
@@ -262,9 +264,58 @@ class TestGenericScheme3:
     def test_random_gains(self, seed):
         rng = np.random.default_rng(seed)
         g = ldc.LdcGains.from_matrix(rng.integers(0, 5, size=(3, 3)))
-        s = ldc.build_generic3_scheme(g)
+        s = ldc.build_chain_scheme(g)
         assert s.total_bits == ldc.ldc3_sum_outer(g).value
         assert ldc.verify_scheme(g, s).passed
+
+
+@st.composite
+def square_gains(draw):
+    k = draw(st.integers(2, 6))
+    return ldc.LdcGains.from_matrix(draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=k, max_size=k),
+        min_size=k, max_size=k)))
+
+
+class TestChainScheme:
+    @given(square_gains())
+    @settings(max_examples=100, deadline=None)
+    def test_meets_chain_rank_bound(self, g):
+        s = ldc.build_chain_scheme(g)
+        assert s.total_bits == ldc.chain_rank_bound(g)
+        assert s.respects_cms()
+        assert ldc.verify_scheme(g, s).passed
+
+    def test_three_user_rates_are_the_outer_bound_terms(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = ldc.LdcGains.from_matrix(rng.integers(0, 6, size=(3, 3)))
+            terms = dict(ldc.ldc3_sum_outer(g).terms)
+            assert ldc.build_chain_scheme(g).rates == (
+                terms["rx1_full"], terms["rx2_conditional"],
+                terms["rx3_private"]), g.n
+
+    def test_symmetric_grid_meets_capacity(self):
+        for k, nd, ni in itertools.product(range(2, 7), range(7), range(7)):
+            g = ldc.LdcGains.symmetric(nd, ni, k)
+            s = ldc.build_chain_scheme(g)
+            assert s.total_bits == \
+                ldc.ldc_k_sym_sum_capacity(nd, ni, k).value, (nd, ni, k)
+            assert s.respects_cms(), (nd, ni, k)
+            assert ldc.verify_scheme(g, s).passed, (nd, ni, k)
+
+    def test_generic3_shim(self):
+        g = ldc.LdcGains.from_matrix([[3, 1, 2], [0, 4, 1], [2, 2, 5]])
+        want = ldc.build_chain_scheme(g)
+        for seed in (0, 1, 12345):
+            s = ldc.build_generic3_scheme(g, seed=seed)
+            assert s.rates == want.rates
+            for a, b in zip(s.encoders + s.decoders,
+                            want.encoders + want.decoders):
+                assert np.array_equal(a, b)
+        for k in (2, 4):
+            with pytest.raises(ValueError):
+                ldc.build_generic3_scheme(ldc.LdcGains.symmetric(2, 1, k))
 
 
 class TestVerifyScheme:
