@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,15 @@ class ConfigError(Exception):
     pass
 
 
+# Points per range axis; a range is counted before any is built.
+MAX_GRID_POINTS = 1_000_000
+
+
 def parse_grid(spec: str, integer: bool = False) -> list:
     """Parse 'start:stop:step', a comma list, or a single value.
 
-    Range endpoints are inclusive (up to a 1e-9 tolerance on the stop).
+    Range endpoints are inclusive (up to a 1e-9 tolerance on the stop),
+    and a range may hold at most MAX_GRID_POINTS points.
     """
     conv = int if integer else float
     spec = spec.strip()
@@ -41,6 +47,9 @@ def parse_grid(spec: str, integer: bool = False) -> list:
             if step <= 0 or stop < start:
                 raise ValueError(spec)
             n = int(round((stop - start) / step))
+            if n >= MAX_GRID_POINTS:
+                raise ConfigError(f"grid spec {spec!r} has {n + 1} points; "
+                                  f"at most {MAX_GRID_POINTS} allowed")
             vals = [start + i * step for i in range(n + 1)]
             vals = [v for v in vals if v <= stop + 1e-9]
             return [conv(round(v, 12)) for v in vals]
@@ -171,31 +180,41 @@ def cmd_gaussian_gap(opts) -> int:
     header = ["k", "snr_db", "alpha", "outer_analytic", "inner_closed",
               "gap_analytic_observed", "gap_bound", "inner_opt",
               "outer_opt", "gap_numeric", "mult_ratio"]
-    rows: list[list] = []
-
+    rows: list = []
+    # One kernel call per (k, SNR) row, or per point when optimizing, so
+    # that certificate and optimizer errors surface in sweep order.
+    step = 1 if opts.budget > 0 else max(len(opts.alpha), 1)
     for k in opts.k:
         for snr_db in opts.snr_db:
-            for alpha in opts.alpha:
-                ch = gaussian.GaussianSymChannel.from_snr_alpha(
-                    snr_db, alpha, k)
-                cert = gaussian.additive_gap_certificate(ch)
-                inner_opt = outer_opt = gap_numeric = ""
+            for lo in range(0, len(opts.alpha), step):
+                alphas = opts.alpha[lo:lo + step]
+                cert = gaussian.gap_certificate_grid(
+                    gaussian.ChannelGrid.from_snr_alpha(snr_db, alphas, k))
+                numeric = [repeat("")] * 3
                 if opts.budget > 0:
-                    params, val = gaussian.optimize_inner(
-                        ch, budget=opts.budget, seed=opts.seed)
-                    inner_opt = val
-                    if k == 3:
-                        outer_opt = gaussian.optimize_outer(
-                            ch, budget=opts.budget, seed=opts.seed,
-                            inner_hint=params)
-                        gap_numeric = outer_opt - inner_opt
-                rows.append([k, snr_db, alpha, cert.outer, cert.inner,
-                             cert.additive_gap, cert.analytic_gap_bound,
-                             inner_opt, outer_opt, gap_numeric,
-                             cert.multiplicative_ratio])
+                    numeric = zip(*(_optimized(k, snr_db, a, opts)
+                                    for a in alphas))
+                rows += zip(repeat(k), repeat(snr_db), alphas,
+                            cert.outer.tolist(), cert.inner.tolist(),
+                            cert.additive_gap.tolist(),
+                            repeat(cert.analytic_gap_bound), *numeric,
+                            cert.multiplicative_ratio.tolist())
 
     write_csv(opts.out, header, rows)
     return 0
+
+
+def _optimized(k: int, snr_db: float, alpha: float, opts) -> tuple:
+    """(inner_opt, outer_opt, gap_numeric); the outer bound is for k = 3
+    only."""
+    ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
+    params, inner_opt = gaussian.optimize_inner(ch, budget=opts.budget,
+                                                seed=opts.seed)
+    if k != 3:
+        return inner_opt, "", ""
+    outer_opt = gaussian.optimize_outer(ch, budget=opts.budget,
+                                        seed=opts.seed, inner_hint=params)
+    return inner_opt, outer_opt, outer_opt - inner_opt
 
 
 def cmd_gdof_curves(opts) -> int:
@@ -207,12 +226,16 @@ def cmd_gdof_curves(opts) -> int:
         for k in opts.k:
             curve = gdof.curve_sweep(model, k, opts.alpha,
                                      discontinuity=opts.discontinuity)
+            fits = {}
+            if opts.snr_db and model == "cms":
+                fit = [a for a, _ in curve.samples
+                       if abs(a - 1.0) >= gdof.FIT_EXCLUSION]
+                fits = dict(zip(fit, gdof.empirical_gdof_curve(
+                    k, fit, opts.snr_db)))
             for alpha, d in curve.samples:
-                emp_in = emp_out = ""
-                if (opts.snr_db and model == "cms"
-                        and abs(alpha - 1.0) >= gdof.FIT_EXCLUSION):
-                    est = gdof.empirical_gdof(k, alpha, opts.snr_db)
-                    emp_in, emp_out = est.inner_slope, est.outer_slope
+                est = fits.get(alpha)
+                emp_in, emp_out = ((est.inner_slope, est.outer_slope)
+                                   if est else ("", ""))
                 rows.append([model, k, alpha, d, d / k, emp_in, emp_out])
 
     write_csv(opts.out, header, rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import minimize
@@ -140,6 +140,8 @@ class RateVector:
 
 @dataclass(frozen=True)
 class GapCertificate:
+    """Floats and labels for one channel; arrays of them over a
+    ChannelGrid (gap_certificate_grid)."""
     inner: float
     outer: float
     additive_gap: float
@@ -149,36 +151,6 @@ class GapCertificate:
     inner_branch: str   # "coherent" or "successive"
     outer_mac: float    # MAC-branch value, for boundary inspection
     outer_general: float
-
-    def __post_init__(self):
-        if self.inner > self.outer + TOL.eq:
-            raise GapExceeded(f"inner bound {self.inner:.6f} exceeds "
-                              f"outer bound {self.outer:.6f}")
-
-
-def outer_sum(ch: GaussianSymChannel) -> float:
-    """Analytic sum-rate upper bound, in bits."""
-    if ch.is_mac:
-        return _outer_mac(ch)
-    return _outer_general(ch)
-
-
-def _outer_mac(ch: GaussianSymChannel) -> float:
-    return _log2p1((ch.k * ch.hd) ** 2)
-
-
-def _outer_general(ch: GaussianSymChannel) -> float:
-    k, hd, hi = ch.k, ch.hd, ch.hi
-    t1 = _log2p1((hd + (k - 1) * abs(hi)) ** 2)
-    t2 = float(k - 2)
-    t3 = (k - 2) * _log2p1(abs(hd - hi) ** 2 / 2.0)
-    t4 = _log2p1(hd ** 2 / (1.0 + (k - 1) * abs(hi) ** 2))
-    return t1 + t2 + t3 + t4
-
-
-def beamforming_inner(ch: GaussianSymChannel) -> float:
-    """Sum rate of the all-beamform-to-user-1 scheme."""
-    return _log2p1((ch.hd + (ch.k - 1) * abs(ch.hi)) ** 2)
 
 
 def dpc_rates(ch: GaussianSymChannel, p: DpcParams) -> RateVector:
@@ -238,9 +210,10 @@ def closed_form_params(ch: GaussianSymChannel) -> DpcParams:
                      gamma=tuple(gamma))
 
 
-def _strong_powers(k: int, hi2: float) -> tuple[float, float, float, float]:
+def _strong_powers(k: int, hi2):
     """Squared closed-form coefficients for |hi|^2 >= 1: (gamma_K,
-    beta, alpha of the middle transmitters, alpha_K)."""
+    beta, alpha of the middle transmitters, alpha_K), elementwise for
+    an array hi2."""
     gk2 = 1.0 / (1.0 + (k - 1) * hi2)
     if k == 2:
         beta2 = 0.0
@@ -252,52 +225,7 @@ def _strong_powers(k: int, hi2: float) -> tuple[float, float, float, float]:
         beta2 = (1.0 - gk2) / (k - 2)
         ak2 = 0.0
     aj2 = 1.0 - beta2  # middle transmitters put the rest on beamforming
-    return gk2, beta2, aj2, max(0.0, ak2)
-
-
-def closed_form_sum_rates(ch: GaussianSymChannel) -> tuple[float, float]:
-    """(coherent, successive): dpc_rates(ch, p).total for p =
-    closed_form_params(ch) and successive_params(ch), bit for bit,
-    without building either parameter set.
-
-    The arithmetic mirrors dpc_rates and DpcParams.validate: each
-    coefficient is a math.sqrt squared with ** 2, the beamforming
-    coefficients are summed as the same complex sequence, a zero gamma
-    adds an exact 0.0, and every rate, the repeated middle-user ones
-    included, is its own term of one sum().  Only the strong-interference
-    powers can exceed the slack (a unit phase and unit powers cannot);
-    they raise PowerConstraintViolated as validate would.
-    """
-    k, hd = ch.k, ch.hd
-    log1p = math.log1p
-    hi_mag = abs(ch.hi)
-    hi2 = hi_mag ** 2
-    hd2 = hd ** 2
-    # successive_params: gamma = 1 everywhere, so sum(g2[j-1:]) = k - j
-    successive = sum([log1p(hd2 / (1.0 + hi2 * (k - j))) / _LN2
-                      for j in range(1, k)] + [log1p(hd2) / _LN2])
-    if hi2 < 1.0:
-        return successive, successive
-
-    gk2, beta2, aj2, ak2 = _strong_powers(k, hi2)
-    a_mid, a_last = math.sqrt(aj2), math.sqrt(ak2)
-    b2 = math.sqrt(beta2) ** 2
-    g2 = math.sqrt(gk2) ** 2
-    slack = TOL.power_slack
-    used = b2 + a_mid ** 2
-    if k > 2 and used > 1 + slack:
-        raise PowerConstraintViolated(f"transmitter 2 power {used:.12f} > 1")
-    used_k = g2 + (k - 2) * b2 + a_last ** 2
-    if used_k > 1 + slack:
-        raise PowerConstraintViolated(
-            f"transmitter {k} power {used_k:.12f} > 1")
-    den = 1.0 + hi2 * g2
-    beam = sum([complex(a_mid)] * (k - 2) + [complex(a_last)])
-    rates = [log1p(abs(hd + hi_mag * beam) ** 2 / den) / _LN2]
-    if k > 2:
-        rates += [log1p(abs(hd - ch.hi) ** 2 * b2 / den) / _LN2] * (k - 2)
-    rates.append(log1p(hd2 * g2) / _LN2)
-    return sum(rates), successive
+    return gk2, beta2, aj2, np.where(ak2 > 0.0, ak2, 0.0)  # max(0.0, ak2)
 
 
 def analytic_gap_bound(k: int) -> float:
@@ -343,38 +271,190 @@ def input_covariance(p: DpcParams, k: int) -> np.ndarray:
     return sum(induced_covariances(p, k))
 
 
-def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
-    """Closed-form inner vs. analytic outer, with the Th.-5 bound check."""
-    if ch.k < 3:
+# ---------------------------------------------------------------------------
+# the closed forms over arrays of channels
+# ---------------------------------------------------------------------------
+# Bit for bit the scalar arithmetic: numpy's +, -, *, /, sqrt and abs of
+# reals are correctly rounded, as Python's are; every log1p and power
+# runs in libm on Python floats (numpy's SIMD versions differ in the
+# last bit, and x ** 2 is pow, not x * x); sums add left to right, as
+# sum() of floats did before Python 3.12.
+
+def _pow_each(base: np.ndarray, exp) -> np.ndarray:
+    """base ** exp for an array exp or one float exp."""
+    e = exp.tolist() if isinstance(exp, np.ndarray) else itertools.repeat(exp)
+    return np.fromiter(map(pow, base.tolist(), e), float, base.size)
+
+
+def _log2p1_each(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.log1p, x.tolist()), float, x.size) / _LN2
+
+
+def _abs_each(z: np.ndarray) -> np.ndarray:
+    """numpy's abs is exact for reals; complex values take Python's."""
+    if z.dtype.kind != "c":
+        return np.abs(z)
+    return np.fromiter(map(abs, z.tolist()), float, z.size)
+
+
+class ChannelGrid:
+    """Symmetric channels of one user count k as arrays of direct gains
+    hd (real) and interfering gains hi (real or complex), with the
+    quantities every closed form shares."""
+
+    def __init__(self, k: int, hd, hi):
+        self.k, self.hd, self.hi = k, np.asarray(hd, float), np.asarray(hi)
+        self.hi_mag = _abs_each(self.hi)
+        self.hd2 = _pow_each(self.hd, 2.0)
+        self.hi2 = _pow_each(self.hi_mag, 2.0)
+        self.zf2 = _pow_each(_abs_each(self.hd - self.hi), 2.0)
+        self.is_mac = self.hi == self.hd
+        # beamforming_inner, also the first term of the outer bound
+        self.beamforming = _log2p1_each(
+            _pow_each(self.hd + (k - 1) * self.hi_mag, 2.0))
+
+    @classmethod
+    def from_snr_alpha(cls, snr_db, alpha, k: int) -> "ChannelGrid":
+        """GaussianSymChannel.from_snr_alpha, broadcasting."""
+        snr_db, alpha = np.broadcast_arrays(np.asarray(snr_db, float),
+                                            np.asarray(alpha, float))
+        snr = _pow_each(np.full(snr_db.shape, 10.0), snr_db / 10.0)
+        return cls(k, _pow_each(snr, 0.5), _pow_each(snr, alpha / 2.0))
+
+    @classmethod
+    def of(cls, ch: GaussianSymChannel) -> "ChannelGrid":
+        return cls(ch.k, [ch.hd], [ch.hi])
+
+
+def _first_error(mask: np.ndarray, make) -> tuple | None:
+    idx = np.flatnonzero(mask)
+    return (idx[0], make(idx[0])) if idx.size else None
+
+
+def _raise_first(*errors) -> None:
+    """Raise the (index, error) a point-by-point sweep meets first."""
+    found = [e for e in errors if e is not None]
+    if found:
+        raise min(found, key=lambda e: e[0])[1]
+
+
+def _successive(g: ChannelGrid, at) -> np.ndarray:
+    """The successive sum rate at the points at: with gamma = 1, user j
+    hears k - j private streams."""
+    k, hd2, hi2 = g.k, g.hd2[at], g.hi2[at]
+    return sum([_log2p1_each(hd2 / (1.0 + hi2 * (k - j)))
+                for j in range(1, k)] + [_log2p1_each(hd2)])
+
+
+def _coherent(g: ChannelGrid, at: np.ndarray):
+    """The strong-interference closed-form sum rate at the points of the
+    mask at, and the first (index, PowerConstraintViolated) that
+    DpcParams.validate would raise there, or None.  As in dpc_rates,
+    coefficients are sqrts squared and each rate is its own term."""
+    idx = np.flatnonzero(at)
+    k, hi2 = g.k, g.hi2[idx]
+    gk2, beta2, aj2, ak2 = np.broadcast_arrays(*_strong_powers(k, hi2))
+    a_mid, a_last = np.sqrt(aj2), np.sqrt(ak2)
+    b2 = _pow_each(np.sqrt(beta2), 2.0)
+    g2 = _pow_each(np.sqrt(gk2), 2.0)
+    limit = 1 + TOL.power_slack
+    used = b2 + _pow_each(a_mid, 2.0)
+    used_k = g2 + (k - 2) * b2 + _pow_each(a_last, 2.0)
+    over = (used > limit) & (k > 2)
+    power = _first_error(over | (used_k > limit), lambda i: (
+        PowerConstraintViolated(
+            f"transmitter 2 power {used[i]:.12f} > 1" if over[i] else
+            f"transmitter {k} power {used_k[i]:.12f} > 1")))
+    if power is not None:
+        power = (idx[power[0]], power[1])
+    den = 1.0 + hi2 * g2
+    beam = sum([a_mid] * (k - 2) + [a_last])
+    rates = [_log2p1_each(
+        _pow_each(np.abs(g.hd[idx] + g.hi_mag[idx] * beam), 2.0) / den)]
+    rates += [_log2p1_each(g.zf2[idx] * b2 / den)] * (k - 2)
+    rates.append(_log2p1_each(g.hd2[idx] * g2))
+    return sum(rates), power
+
+
+def closed_form_inner(g: ChannelGrid) -> np.ndarray:
+    """closed_form_sum_rates(ch)[0] at every channel; the successive rate
+    is evaluated only below |hi|^2 = 1, where it is the choice."""
+    strong = g.hi2 >= 1.0
+    inner = np.empty(strong.shape)
+    inner[~strong] = _successive(g, ~strong)
+    inner[strong], power = _coherent(g, strong)
+    _raise_first(power)
+    return inner
+
+
+def outer_grid(g: ChannelGrid) -> tuple:
+    """Analytic sum-rate upper bound at every channel, in bits, with its
+    MAC branch (where hi == hd exactly) and general branch."""
+    k = g.k
+    mac = _log2p1_each(_pow_each(k * g.hd, 2.0))
+    general = (g.beamforming + float(k - 2)
+               + (k - 2) * _log2p1_each(g.zf2 / 2.0)
+               + _log2p1_each(g.hd2 / (1.0 + (k - 1) * g.hi2)))
+    return np.where(g.is_mac, mac, general), mac, general
+
+
+def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
+    """additive_gap_certificate at every channel, as one GapCertificate
+    of arrays; raises what a point-by-point sweep would raise first."""
+    if g.k < 3:
         raise ValueError("certificate stated for k >= 3")
+    strong = g.hi2 >= 1.0
+    successive = _successive(g, slice(None))
+    coherent = successive.copy()
+    coherent[strong], power = _coherent(g, strong)
     # Below |hi|^2 = 1 both choices are the successive one; ties keep
     # the coherent label.
-    coherent, successive = closed_form_sum_rates(ch)
-    if successive > coherent:
-        branch, inner = "successive", successive
-    else:
-        branch, inner = "coherent", coherent
-    outer = outer_sum(ch)
+    wins = successive > coherent
+    inner = np.where(wins, successive, coherent)
+    outer, mac, general = outer_grid(g)
     gap = outer - inner
-    bound = analytic_gap_bound(ch.k)
-    if gap > bound + TOL.gap_slack:
-        raise GapExceeded(
-            f"observed gap {gap:.6f} exceeds analytic bound {bound:.6f} "
-            f"at hd={ch.hd}, hi={ch.hi}, k={ch.k}")
-    bf = beamforming_inner(ch)
-    ratio = outer / bf if bf > 0 else float("nan")
-    is_mac = ch.is_mac
+    bound = analytic_gap_bound(g.k)
+    over_bound = _first_error(gap > bound + TOL.gap_slack, lambda i: (
+        GapExceeded(f"observed gap {gap[i]:.6f} exceeds analytic bound "
+                    f"{bound:.6f} at hd={float(g.hd[i])}, "
+                    f"hi={complex(g.hi[i])}, k={g.k}")))
+    over_outer = _first_error(inner > outer + TOL.eq, lambda i: GapExceeded(
+        f"inner bound {inner[i]:.6f} exceeds outer bound {outer[i]:.6f}"))
+    _raise_first(power, over_bound, over_outer)
+    bf = g.beamforming
     return GapCertificate(
-        inner=inner,
-        outer=outer,
-        additive_gap=gap,
-        analytic_gap_bound=bound,
-        multiplicative_ratio=ratio,
-        outer_branch="mac" if is_mac else "general",
-        inner_branch=branch,
-        outer_mac=_outer_mac(ch),
-        outer_general=_outer_general(ch) if is_mac else outer,
-    )
+        inner, outer, gap, bound,
+        np.divide(outer, bf, out=np.full(bf.shape, math.nan), where=bf > 0),
+        np.where(g.is_mac, "mac", "general"),
+        np.where(wins, "successive", "coherent"), mac, general)
+
+
+# The scalar API: one-element calls of the kernel.
+
+def outer_sum(ch: GaussianSymChannel) -> float:
+    """Analytic sum-rate upper bound, in bits."""
+    return outer_grid(ChannelGrid.of(ch))[0][0].item()
+
+
+def beamforming_inner(ch: GaussianSymChannel) -> float:
+    """Sum rate of the all-beamform-to-user-1 scheme."""
+    return ChannelGrid.of(ch).beamforming[0].item()
+
+
+def closed_form_sum_rates(ch: GaussianSymChannel) -> tuple[float, float]:
+    """(coherent, successive): dpc_rates(ch, p).total for p =
+    closed_form_params(ch) and successive_params(ch), bit for bit, and
+    PowerConstraintViolated where validate would raise it."""
+    g = ChannelGrid.of(ch)
+    return (closed_form_inner(g)[0].item(),
+            _successive(g, slice(None))[0].item())
+
+
+def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
+    """Closed-form inner vs. analytic outer, with the Th.-5 bound check."""
+    c = gap_certificate_grid(ChannelGrid.of(ch))
+    return GapCertificate(*(np.asarray(getattr(c, f.name)).item(0)
+                            for f in fields(c)))
 
 
 # ---------------------------------------------------------------------------

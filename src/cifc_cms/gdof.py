@@ -113,18 +113,26 @@ def empirical_gdof(k: int, alpha: float, snr_db_list) -> SlopeEstimate:
     Sets |hd|^2 = SNR and |hi|^2 = SNR^alpha at each listed SNR and fits
     both the analytic outer bound and the closed-form inner bound.
     """
+    return empirical_gdof_curve(k, [alpha], snr_db_list)[0]
+
+
+def empirical_gdof_curve(k: int, alphas,
+                         snr_db_list) -> list[SlopeEstimate]:
+    """empirical_gdof at each alpha, from one evaluation of the bounds
+    over the (alpha, SNR) grid.  Each alpha is its own fit: one fit
+    with every alpha as a right-hand side rounds differently."""
     snr_dbs = [float(s) for s in snr_db_list]
     if len(snr_dbs) < 2:
         raise ValueError("need at least two SNR points for a slope fit")
-    if abs(alpha - 1.0) < FIT_EXCLUSION:
+    if any(abs(alpha - 1.0) < FIT_EXCLUSION for alpha in alphas):
         raise ValueError("slope fit is ill-posed in the alpha = 1 "
                          "discontinuity neighborhood")
-    xs, inner_ys, outer_ys = [], [], []
-    for snr_db in snr_dbs:
-        ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
-        xs.append(math.log2(1.0 + ch.snr))
-        inner_ys.append(gaussian.closed_form_sum_rates(ch)[0])
-        outer_ys.append(gaussian.outer_sum(ch))
-    inner_slope = float(np.polyfit(xs, inner_ys, 1)[0])
-    outer_slope = float(np.polyfit(xs, outer_ys, 1)[0])
-    return SlopeEstimate(inner_slope=inner_slope, outer_slope=outer_slope)
+    n = len(snr_dbs)
+    g = gaussian.ChannelGrid.from_snr_alpha(
+        np.tile(snr_dbs, len(alphas)), np.repeat(alphas, n), k)
+    xs = list(map(math.log2, (1.0 + g.hd2[:n]).tolist()))
+    inner = gaussian.closed_form_inner(g).reshape(-1, n)
+    outer = gaussian.outer_grid(g)[0].reshape(-1, n)
+    return [SlopeEstimate(inner_slope=float(np.polyfit(xs, i, 1)[0]),
+                          outer_slope=float(np.polyfit(xs, o, 1)[0]))
+            for i, o in zip(inner, outer)]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from cifc_cms import cli, gaussian, gdof
+from test_gaussian import (oracle_certificate, oracle_outer_sum,
+                           oracle_sum_rates)
 
 
 class TestParseGrid:
@@ -205,7 +207,9 @@ class TestGaussianGap:
 
     def test_inner_above_outer_exits_1(self, tmp_path, monkeypatch,
                                        capsys):
-        monkeypatch.setattr(cli.gaussian, "outer_sum", lambda ch: 0.0)
+        # the grid path takes its outer bound from the kernel's outer_grid
+        monkeypatch.setattr(cli.gaussian, "outer_grid",
+                            lambda g: (np.zeros(g.hd.shape),) * 3)
         rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
                        "--alpha", "1.5", "--out", str(tmp_path / "g.csv")])
         assert rc == 1
@@ -268,6 +272,8 @@ class TestGdofCurves:
     ["ldc-verify", "--nd", "0:1e400"],
     ["gaussian-gap", "--snr-db", "0:1e400"],
     ["gaussian-gap", "--alpha", "0:1e300:1e-300"],
+    ["gaussian-gap", "--alpha", "0:1:1e-9"],   # too many points to build
+    ["ldc-verify", "--nd", "0:1e9"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -296,8 +302,8 @@ def test_gain_power_limit_counts_k(tmp_path):
     assert cli.main(bad + ["--out", str(tmp_path / "b.csv")]) == 2
 
 
-# CSV bytes against a test-side oracle: the general dpc_rates path and a
-# per-row repr writer.
+# CSV bytes against the scalar oracle of test_gaussian and a per-row
+# repr writer.
 
 def oracle_cell(v):
     return repr(v) if isinstance(v, float) else str(v)
@@ -308,44 +314,34 @@ def oracle_csv(header, rows):
                    for row in [header] + rows).encode()
 
 
-def slow_inner(ch):
-    inner = gaussian.dpc_rates(ch, gaussian.closed_form_params(ch)).total
-    if ch.inr >= 1.0:
-        inner = max(inner, gaussian.dpc_rates(
-            ch, gaussian.successive_params(ch)).total)
-    return inner
-
-
-def test_gaussian_gap_bytes_match_oracle(tmp_path):
-    rows = []
-    for k in (3, 4, 6):
-        for snr_db in (-10.0, 0.0, 17.5, 40.0):
-            for alpha in (0.0, 0.5, 1.0, 1.5, 2.75):
-                ch = gaussian.GaussianSymChannel.from_snr_alpha(
-                    snr_db, alpha, k)
-                inner, outer = slow_inner(ch), gaussian.outer_sum(ch)
-                bf = gaussian.beamforming_inner(ch)
-                rows.append([k, snr_db, alpha, outer, inner, outer - inner,
-                             gaussian.analytic_gap_bound(k), "", "", "",
-                             outer / bf if bf > 0 else float("nan")])
-    header = ["k", "snr_db", "alpha", "outer_analytic", "inner_closed",
+GAP_HEADER = ["k", "snr_db", "alpha", "outer_analytic", "inner_closed",
               "gap_analytic_observed", "gap_bound", "inner_opt",
               "outer_opt", "gap_numeric", "mult_ratio"]
-    out = tmp_path / "g.csv"
-    assert cli.main(["gaussian-gap", "--k", "3,4,6",
-                     "--snr-db=-10,0,17.5,40", "--alpha", "0,0.5,1,1.5,2.75",
-                     "--out", str(out)]) == 0
-    assert out.read_bytes() == oracle_csv(header, rows)
+GDOF_HEADER = ["model", "k", "alpha", "d", "d_normalized",
+               "d_emp_inner", "d_emp_outer"]
 
 
-def test_gdof_curves_bytes_match_oracle(tmp_path):
-    alphas, snrs = [0.0, 0.5, 1.0, 1.05, 1.5, 2.0], [40.0, 50.0, 60.0]
+def oracle_gap_rows(ks, snrs, alphas):
+    rows = []
+    for k in ks:
+        for snr_db in snrs:
+            for alpha in alphas:
+                c = oracle_certificate(
+                    gaussian.GaussianSymChannel.from_snr_alpha(
+                        snr_db, alpha, k))
+                rows.append([k, snr_db, alpha, c.outer, c.inner,
+                             c.additive_gap, c.analytic_gap_bound, "", "",
+                             "", c.multiplicative_ratio])
+    return rows
+
+
+def oracle_gdof_rows(models, ks, alphas, snrs):
     funcs = {"cms": gdof.gdof_cms, "bc": gdof.gdof_bc}
     rows = []
-    for model, fn in funcs.items():
-        for k in (2, 3):
+    for model in models:
+        for k in ks:
             for alpha in alphas:
-                d = fn(alpha, k)
+                d = funcs[model](alpha, k)
                 emp_in = emp_out = ""
                 if model == "cms" and abs(alpha - 1.0) >= 0.1:
                     chs = [gaussian.GaussianSymChannel.from_snr_alpha(
@@ -353,15 +349,51 @@ def test_gdof_curves_bytes_match_oracle(tmp_path):
                     xs = [math.log2(1.0 + ch.snr) for ch in chs]
                     emp_in, emp_out = (
                         float(np.polyfit(xs, ys, 1)[0]) for ys in (
-                            [gaussian.dpc_rates(
-                                ch, gaussian.closed_form_params(ch)).total
-                             for ch in chs],
-                            [gaussian.outer_sum(ch) for ch in chs]))
+                            [oracle_sum_rates(ch)[0] for ch in chs],
+                            [oracle_outer_sum(ch) for ch in chs]))
                 rows.append([model, k, alpha, d, d / k, emp_in, emp_out])
-    header = ["model", "k", "alpha", "d", "d_normalized",
-              "d_emp_inner", "d_emp_outer"]
+    return rows
+
+
+def test_gaussian_gap_bytes_match_oracle(tmp_path):
+    # -10 dB mixes weak and strong interference; alpha = 0 at 30 dB puts
+    # |hi|^2 at exactly 1; alpha = 1 is the MAC point
+    ks, snrs = [3, 4, 6, 8], [-10.0, 0.0, 17.5, 30.0, 40.0]
+    alphas = [0.0, 0.5, 1.0, 1.5, 2.75]
+    out = tmp_path / "g.csv"
+    assert cli.main(["gaussian-gap", "--k", "3,4,6,8",
+                     "--snr-db=-10,0,17.5,30,40",
+                     "--alpha", "0,0.5,1,1.5,2.75", "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_csv(
+        GAP_HEADER, oracle_gap_rows(ks, snrs, alphas))
+
+
+def test_gdof_curves_bytes_match_oracle(tmp_path):
+    # 0 dB makes every alpha a MAC point
+    alphas = [0.0, 0.5, 1.0, 1.05, 1.5, 2.0]
+    snrs = [0.0, 20.0, 40.0, 50.0, 60.0]
     out = tmp_path / "d.csv"
-    assert cli.main(["gdof-curves", "--models", "cms,bc", "--k", "2,3",
-                     "--alpha", "0,0.5,1,1.05,1.5,2", "--snr-db", "40,50,60",
-                     "--out", str(out)]) == 0
-    assert out.read_bytes() == oracle_csv(header, rows)
+    assert cli.main(["gdof-curves", "--models", "cms,bc", "--k", "2,3,8",
+                     "--alpha", "0,0.5,1,1.05,1.5,2",
+                     "--snr-db", "0,20,40,50,60", "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_csv(
+        GDOF_HEADER, oracle_gdof_rows(["cms", "bc"], [2, 3, 8], alphas,
+                                      snrs))
+
+
+def test_bytes_match_oracle_at_benchmark_scale(tmp_path):
+    # the gauss-dense grids, one k for gaussian-gap: a numpy
+    # transcendental that differs from libm on a few percent of inputs
+    # cannot hide among 18,361 certificates and 23,042 fitted points
+    alphas = cli.parse_grid("0:3:0.01")
+    gap, dof = tmp_path / "g.csv", tmp_path / "d.csv"
+    assert cli.main(["gaussian-gap", "--k", "5", "--snr-db", "0:60:1",
+                     "--alpha", "0:3:0.01", "--out", str(gap)]) == 0
+    assert gap.read_bytes() == oracle_csv(
+        GAP_HEADER, oracle_gap_rows([5], cli.parse_grid("0:60:1"), alphas))
+    assert cli.main(["gdof-curves", "--models", "cms", "--k", "3,4",
+                     "--alpha", "0:3:0.01", "--snr-db", "40:80:1",
+                     "--out", str(dof)]) == 0
+    assert dof.read_bytes() == oracle_csv(
+        GDOF_HEADER, oracle_gdof_rows(["cms"], [3, 4], alphas,
+                                      cli.parse_grid("40:80:1")))

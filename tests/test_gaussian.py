@@ -1,7 +1,9 @@
 """Gaussian-model rate arithmetic, gap certificates, and optimizers."""
 
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -233,6 +235,200 @@ class TestClosedFormSumRates:
             gaussian.closed_form_sum_rates(ch)
 
 
+# The scalar closed forms that gaussian's array kernel replaced, kept as
+# its bitwise oracle.
+
+_LN2 = math.log(2.0)
+
+
+def _log2p1(x):
+    return math.log1p(x) / _LN2
+
+
+def _sum(terms):
+    """sum() as Python 3.11 has it, left to right; from 3.12 sum()
+    compensates float rounding, which the CSVs never had."""
+    return functools.reduce(operator.add, terms, 0)
+
+
+def oracle_outer_mac(ch):
+    return _log2p1((ch.k * ch.hd) ** 2)
+
+
+def oracle_outer_general(ch):
+    k, hd, hi = ch.k, ch.hd, ch.hi
+    t1 = _log2p1((hd + (k - 1) * abs(hi)) ** 2)
+    t2 = float(k - 2)
+    t3 = (k - 2) * _log2p1(abs(hd - hi) ** 2 / 2.0)
+    t4 = _log2p1(hd ** 2 / (1.0 + (k - 1) * abs(hi) ** 2))
+    return t1 + t2 + t3 + t4
+
+
+def oracle_outer_sum(ch):
+    return oracle_outer_mac(ch) if ch.is_mac else oracle_outer_general(ch)
+
+
+def oracle_beamforming_inner(ch):
+    return _log2p1((ch.hd + (ch.k - 1) * abs(ch.hi)) ** 2)
+
+
+def oracle_strong_powers(k, hi2):
+    gk2 = 1.0 / (1.0 + (k - 1) * hi2)
+    if k == 2:
+        beta2 = 0.0
+        ak2 = 1.0 - gk2
+    elif k == 3:
+        beta2 = (1.0 + 3.0 * hi2) / (2.0 * (1.0 + 2.0 * hi2))
+        ak2 = (-1.0 + hi2) / (2.0 * (1.0 + 2.0 * hi2))
+    else:
+        beta2 = (1.0 - gk2) / (k - 2)
+        ak2 = 0.0
+    aj2 = 1.0 - beta2
+    return gk2, beta2, aj2, max(0.0, ak2)
+
+
+def oracle_sum_rates(ch):
+    """closed_form_sum_rates: (coherent, successive)."""
+    k, hd = ch.k, ch.hd
+    log1p = math.log1p
+    hi_mag = abs(ch.hi)
+    hi2 = hi_mag ** 2
+    hd2 = hd ** 2
+    successive = _sum([log1p(hd2 / (1.0 + hi2 * (k - j))) / _LN2
+                       for j in range(1, k)] + [log1p(hd2) / _LN2])
+    if hi2 < 1.0:
+        return successive, successive
+
+    gk2, beta2, aj2, ak2 = oracle_strong_powers(k, hi2)
+    a_mid, a_last = math.sqrt(aj2), math.sqrt(ak2)
+    b2 = math.sqrt(beta2) ** 2
+    g2 = math.sqrt(gk2) ** 2
+    slack = gaussian.TOL.power_slack
+    used = b2 + a_mid ** 2
+    if k > 2 and used > 1 + slack:
+        raise gaussian.PowerConstraintViolated(
+            f"transmitter 2 power {used:.12f} > 1")
+    used_k = g2 + (k - 2) * b2 + a_last ** 2
+    if used_k > 1 + slack:
+        raise gaussian.PowerConstraintViolated(
+            f"transmitter {k} power {used_k:.12f} > 1")
+    den = 1.0 + hi2 * g2
+    beam = _sum([complex(a_mid)] * (k - 2) + [complex(a_last)])
+    rates = [log1p(abs(hd + hi_mag * beam) ** 2 / den) / _LN2]
+    if k > 2:
+        rates += [log1p(abs(hd - ch.hi) ** 2 * b2 / den) / _LN2] * (k - 2)
+    rates.append(log1p(hd2 * g2) / _LN2)
+    return _sum(rates), successive
+
+
+def oracle_certificate(ch):
+    """additive_gap_certificate."""
+    coherent, successive = oracle_sum_rates(ch)
+    if successive > coherent:
+        branch, inner = "successive", successive
+    else:
+        branch, inner = "coherent", coherent
+    outer = oracle_outer_sum(ch)
+    gap = outer - inner
+    bound = gaussian.analytic_gap_bound(ch.k)
+    if gap > bound + gaussian.TOL.gap_slack:
+        raise gaussian.GapExceeded(
+            f"observed gap {gap:.6f} exceeds analytic bound {bound:.6f} "
+            f"at hd={ch.hd}, hi={ch.hi}, k={ch.k}")
+    if inner > outer + gaussian.TOL.eq:
+        raise gaussian.GapExceeded(f"inner bound {inner:.6f} exceeds "
+                                   f"outer bound {outer:.6f}")
+    bf = oracle_beamforming_inner(ch)
+    return gaussian.GapCertificate(
+        inner=inner, outer=outer, additive_gap=gap,
+        analytic_gap_bound=bound,
+        multiplicative_ratio=outer / bf if bf > 0 else float("nan"),
+        outer_branch="mac" if ch.is_mac else "general",
+        inner_branch=branch, outer_mac=oracle_outer_mac(ch),
+        outer_general=oracle_outer_general(ch))
+
+
+def outcome(fn, *args):
+    """repr of fn's result (exact for floats, nan included), or the
+    exception it raises, by type and message."""
+    try:
+        return repr(fn(*args))
+    except (gaussian.GapExceeded, gaussian.PowerConstraintViolated) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def grid_certificates(g):
+    c = gaussian.gap_certificate_grid(g)
+    fields = [np.broadcast_to(v, g.hd.shape).tolist()
+              for v in vars(c).values()]
+    return [gaussian.GapCertificate(*row) for row in zip(*fields)]
+
+
+def oracle_certificates(chs):
+    """A point-by-point sweep, which stops at the first error."""
+    return [oracle_certificate(ch) for ch in chs]
+
+
+class TestKernelMatchesOracle:
+    @given(st.integers(2, 8), st.floats(-20.0, 80.0),
+           st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
+           st.none() | st.floats(-math.pi, math.pi))
+    @settings(max_examples=500, deadline=None)
+    def test_bitwise(self, k, snr_db, alphas, phase):
+        chs = [gaussian.GaussianSymChannel.from_snr_alpha(snr_db, a, k)
+               for a in alphas]
+        if phase is None:
+            g = gaussian.ChannelGrid.from_snr_alpha(snr_db, alphas, k)
+        else:
+            chs = [gaussian.GaussianSymChannel(
+                ch.hd, cmath.rect(abs(ch.hi), phase), k) for ch in chs]
+            g = gaussian.ChannelGrid(k, [ch.hd for ch in chs],
+                                     [ch.hi for ch in chs])
+        outer, mac, general = gaussian.outer_grid(g)
+        assert outer.tolist() == [oracle_outer_sum(ch) for ch in chs]
+        assert mac.tolist() == [oracle_outer_mac(ch) for ch in chs]
+        assert general.tolist() == [oracle_outer_general(ch) for ch in chs]
+        assert g.beamforming.tolist() == [oracle_beamforming_inner(ch)
+                                          for ch in chs]
+        assert gaussian.closed_form_inner(g).tolist() == [
+            oracle_sum_rates(ch)[0] for ch in chs]
+        for ch in chs:
+            assert gaussian.closed_form_sum_rates(ch) == oracle_sum_rates(ch)
+            assert gaussian.outer_sum(ch) == oracle_outer_sum(ch)
+            assert (gaussian.beamforming_inner(ch)
+                    == oracle_beamforming_inner(ch))
+        if k >= 3:
+            assert (outcome(grid_certificates, g)
+                    == outcome(oracle_certificates, chs))
+            assert (outcome(gaussian.additive_gap_certificate, chs[0])
+                    == outcome(oracle_certificate, chs[0]))
+
+    # At k = 4 the closed forms violate the gap bound at -20 dB and
+    # alpha = 0.042 (|hi|^2 < 1); alpha = 0 there is the one
+    # strong-interference point, whose full powers break a negative slack.
+    @pytest.mark.parametrize("alphas,error", [
+        ([0.5, 0.042], "GapExceeded"),
+        ([0.5, 0.042, 0.0], "GapExceeded"),
+        ([0.0, 0.042], "PowerConstraintViolated")])
+    def test_raises_as_the_oracle(self, monkeypatch, alphas, error):
+        monkeypatch.setattr(gaussian, "TOL",
+                            gaussian.Tolerances(power_slack=-1e-6))
+        chs = [gaussian.GaussianSymChannel.from_snr_alpha(-20.0, a, 4)
+               for a in alphas]
+        g = gaussian.ChannelGrid.from_snr_alpha(-20.0, alphas, 4)
+        got = outcome(grid_certificates, g)
+        assert got.startswith(error)
+        assert got == outcome(oracle_certificates, chs)
+        assert (outcome(lambda: gaussian.closed_form_inner(g).tolist())
+                == outcome(lambda: [oracle_sum_rates(ch)[0] for ch in chs]))
+
+    def test_gap_violation_at_default_tolerances(self):
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(-20.0, 0.042, 4)
+        got = outcome(gaussian.additive_gap_certificate, ch)
+        assert got.startswith("GapExceeded: observed gap 5.952525")
+        assert got == outcome(oracle_certificate, ch)
+
+
 class TestGapCertificate:
     def test_analytic_bound_values(self):
         assert gaussian.analytic_gap_bound(3) == 6.0
@@ -357,7 +553,7 @@ class TestSumBoundEvaluation:
         assert 0.0 < val <= gaussian.outer_sum(ch) + 1e-6
 
     def test_independent_noise_below_analytic_bound(self):
-        # _outer_general is the independent-noise bound; at 0 dB every
+        # the general outer branch is the independent-noise bound; at 0 dB every
         # alpha gives hd == hi, a MAC whose outer_sum assumes correlated
         # noise and is exceeded by full-power inputs
         rng = np.random.default_rng(5)
@@ -368,7 +564,7 @@ class TestSumBoundEvaluation:
                 for _ in range(5):
                     l = gaussian._factor_from_vec(rng.normal(size=8))
                     val = gaussian._th1_sum_k3(ch, l, np.eye(3))
-                    assert val <= gaussian._outer_general(ch) + 1e-6
+                    assert val <= oracle_outer_general(ch) + 1e-6
 
     @given(factor_vecs, powers, st.floats(0.0, 40.0), st.floats(0.0, 3.0),
            st.floats(0.0, 2 * math.pi), st.tuples(*[st.floats(-0.5, 0.5)] * 3))
