@@ -25,6 +25,15 @@ class ConfigError(Exception):
 
 # Points per range axis; a range is counted before any is built.
 MAX_GRID_POINTS = 1_000_000
+# Users times bit levels, K * max(m, 1), of one deterministic channel,
+# the side of the matrices its schemes and proofs build (256: < 1 s).
+MAX_LDC_SIZE = 256
+
+
+def _check_ldc_size(k: int, m: int) -> None:
+    if k * max(m, 1) > MAX_LDC_SIZE:
+        raise ConfigError(f"k * max(gain, 1) = {k * max(m, 1)} for k = {k} "
+                          f"exceeds {MAX_LDC_SIZE}")
 
 
 def parse_grid(spec: str, integer: bool = False) -> list:
@@ -85,19 +94,24 @@ def load_gains_file(path: str) -> ldc.LdcGains:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad gains file {path}: {exc}") from exc
     try:
-        return ldc.LdcGains.from_matrix(rows)
+        g = ldc.LdcGains.from_matrix(rows)
     except ValueError as exc:
         raise ConfigError(f"bad gains file {path}: {exc}") from exc
+    _check_ldc_size(g.k, g.m)
+    return g
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     """Cells must be str, int or Python float: csv writes a float as its
     repr and anything else as str, so a numpy scalar or a bool would
     leak its repr."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output CSV: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +164,11 @@ def cmd_ldc_outer(opts) -> int:
         gains_list = [load_gains_file(opts.gains_file)]
     else:
         rng = np.random.default_rng(opts.seed)
-        gains_list = [
+        gains_list = (
             ldc.LdcGains.from_matrix(
                 rng.integers(0, opts.max_gain + 1, size=(3, 3)))
             for _ in range(opts.samples)
-        ]
+        )
 
     for g in gains_list:
         if g.k != 3:
@@ -319,6 +333,8 @@ _DEFAULTS = {
 
 _INT_KEYS = {"seed", "samples", "max_gain", "budget"}
 _BOOL_KEYS = {"discontinuity"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
 
 
 def _merge_config(opts: argparse.Namespace) -> argparse.Namespace:
@@ -336,7 +352,10 @@ def _merge_config(opts: argparse.Namespace) -> argparse.Namespace:
                     raise ConfigError(f"config key {key} needs an "
                                       f"integer, got {value!r}") from exc
             elif key in _BOOL_KEYS:
-                value = value.lower() in ("1", "true", "yes")
+                if value.lower() not in _BOOL_WORDS:
+                    raise ConfigError(f"config key {key} needs 1/0/true/"
+                                      f"false/yes/no, got {value!r}")
+                value = _BOOL_WORDS[value.lower()]
             defaults[key] = value
     for key, value in defaults.items():
         if getattr(opts, key, None) is None:
@@ -369,6 +388,10 @@ def _check_gaussian_grid(ks: list, snr_db: list, alphas: list) -> None:
 
 
 def _post_process(opts: argparse.Namespace) -> None:
+    # Fail before the sweep on a path open() cannot create ('' is '.').
+    out = Path(opts.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"cannot write output CSV {opts.out!r}")
     if opts.command == "ldc-verify":
         opts.nd = parse_grid(str(opts.nd), integer=True)
         opts.ni = parse_grid(str(opts.ni), integer=True)
@@ -377,9 +400,15 @@ def _post_process(opts: argparse.Namespace) -> None:
             raise ConfigError("k must be at least 2")
         if any(n < 0 for n in opts.nd + opts.ni):
             raise ConfigError("nd and ni must be non-negative")
+        _check_ldc_size(max(opts.k, default=0),
+                       max(opts.nd + opts.ni, default=0))
     elif opts.command == "ldc-outer":
         if opts.samples < 0 or opts.max_gain < 0:
             raise ConfigError("samples and max-gain must be non-negative")
+        if opts.samples > MAX_GRID_POINTS:
+            raise ConfigError(f"at most {MAX_GRID_POINTS} samples allowed")
+        if not opts.gains_file:
+            _check_ldc_size(3, opts.max_gain)
     elif opts.command == "gaussian-gap":
         opts.k = parse_grid(str(opts.k), integer=True)
         opts.snr_db = parse_grid(str(opts.snr_db))

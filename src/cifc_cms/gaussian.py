@@ -461,34 +461,36 @@ def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
 # numerical optimization of the inner bound
 # ---------------------------------------------------------------------------
 
-def _mags_from_params(p: DpcParams, k: int) -> np.ndarray:
-    """Magnitude vector [beta, gamma_2..gamma_K, alpha_2..alpha_K]."""
-    return np.array([abs(p.beta)]
-                    + [abs(g) for g in p.gamma]
-                    + [abs(a) for a in p.alpha[1:]])
+def _zf_copies(k: int) -> list[float]:
+    """The zero-forcing power rule: transmitters 2..K send beta once at
+    a middle transmitter and K - 2 times at transmitter K, so transmitter
+    j has room 1 - copies[j - 2] * |beta|^2 for gamma_j and alpha_j."""
+    return [1.0] * (k - 2) + [k - 2.0]
 
 
-def _params_from_mags(ch: GaussianSymChannel, x: np.ndarray) -> DpcParams:
-    k = ch.k
-    beta = x[0]
-    gamma = tuple(complex(v) for v in x[1:k])
-    alpha = (_primary_phase(ch.hi),) + tuple(complex(v) for v in x[k:])
-    return DpcParams(alpha=alpha, beta=complex(beta), gamma=gamma)
+def _full_power(ch: GaussianSymChannel, x: np.ndarray) -> DpcParams:
+    """Parameters for x = (|beta|, |gamma_2|, ..., |gamma_K|) with every
+    transmitter at full power: alpha_j takes the room gamma_j leaves.
+    Only R_1 depends on alpha_2..alpha_K, and it grows with each, so
+    this loses nothing."""
+    beta, *gamma = x.tolist()  # Python floats: this runs per evaluation
+    alpha = [math.sqrt(max(1.0 - c * beta ** 2 - g ** 2, 0.0))
+             for c, g in zip(_zf_copies(ch.k), gamma)]
+    return DpcParams(alpha=(_primary_phase(ch.hi), *map(complex, alpha)),
+                     beta=complex(beta), gamma=tuple(map(complex, gamma)))
 
 
 def _random_feasible(ch: GaussianSymChannel,
                      rng: np.random.Generator) -> np.ndarray:
     k = ch.k
-    bmax = 1.0 / math.sqrt(k - 2) if k > 2 else 0.0
-    beta = rng.uniform(0, bmax)
-    x = np.empty(2 * k - 1)
+    copies = _zf_copies(k)
+    beta = rng.uniform(0, 1.0 / math.sqrt(copies[-1]) if k > 2 else 0.0)
+    x = np.empty(k)
     x[0] = beta
-    for j in range(2, k + 1):
-        room = 1.0 - ((k - 2) if j == k else 1.0) * beta ** 2
-        room = max(0.0, room)
+    for j, c in enumerate(copies, start=1):
+        room = max(0.0, 1.0 - c * beta ** 2)
         t, s = rng.uniform(), rng.uniform()
-        x[j - 1] = math.sqrt(room * s * t)            # gamma_j
-        x[k + j - 2] = math.sqrt(room * s * (1 - t))  # alpha_j
+        x[j] = math.sqrt(room * s * t)  # gamma_j; alpha_j takes the rest
     return x
 
 
@@ -501,46 +503,25 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _beta_cap_sq(k: int) -> float:
-    # the zero-forcing coefficient is repeated K-2 times at transmitter K
-    return 1.0 if k <= 3 else 1.0 / (k - 2)
+def _free_to_x(k: int, z: np.ndarray) -> np.ndarray:
+    """Unconstrained R^K -> feasible x: z[0] sets |beta|^2 as a fraction
+    of its cap, z[j - 1] sets |gamma_j|^2 as a fraction of transmitter
+    j's room, so the power constraints hold by construction."""
+    b_frac, *g_frac = _sigmoid(np.asarray(z, dtype=float)).tolist()
+    copies = _zf_copies(k)
+    b2 = b_frac / max(copies[-1], 1.0)
+    return np.sqrt([b2] + [f * max(1.0 - c * b2, 0.0)
+                           for f, c in zip(g_frac, copies)])
 
 
-def _free_to_mags(k: int, z: np.ndarray) -> np.ndarray:
-    """Unconstrained R^(2K-1) -> feasible magnitude vector.
-
-    Coordinates: z[0] sets the shared beta fraction; each transmitter
-    j >= 2 has a used-power fraction and a gamma/alpha split, so the
-    power constraints hold by construction (smooth, no penalty kinks).
-    """
-    s = _sigmoid(np.asarray(z, dtype=float))
-    b2 = s[0] * _beta_cap_sq(k)
-    x = np.empty(2 * k - 1)
-    x[0] = math.sqrt(b2)
-    for j in range(2, k + 1):
-        zf = (k - 2) * b2 if j == k else b2
-        room = max(0.0, 1.0 - zf)
-        used = s[2 * j - 3] * room
-        split = s[2 * j - 2]
-        x[j - 1] = math.sqrt(used * split)          # gamma_j
-        x[k + j - 2] = math.sqrt(used * (1 - split))  # alpha_j
-    return x
-
-
-def _mags_to_free(k: int, x: np.ndarray) -> np.ndarray:
-    """Approximate inverse of _free_to_mags (for warm starts)."""
-    z = np.empty(2 * k - 1)
-    b2 = float(x[0]) ** 2
-    z[0] = _logit(b2 / _beta_cap_sq(k))
-    for j in range(2, k + 1):
-        zf = (k - 2) * b2 if j == k else b2
-        room = max(1e-12, 1.0 - zf)
-        g2 = float(x[j - 1]) ** 2
-        a2 = float(x[k + j - 2]) ** 2
-        used = min(g2 + a2, room)
-        z[2 * j - 3] = _logit(used / room)
-        z[2 * j - 2] = _logit(g2 / used if used > 0 else 0.5)
-    return z
+def _x_to_free(k: int, x: np.ndarray) -> np.ndarray:
+    """Inverse of _free_to_x, up to clipping (for warm starts)."""
+    copies = _zf_copies(k)
+    beta, *gamma = x.tolist()
+    b2 = beta ** 2
+    return np.array([_logit(b2 * max(copies[-1], 1.0))]
+                    + [_logit(g ** 2 / max(1.0 - c * b2, 1e-12))
+                       for g, c in zip(gamma, copies)])
 
 
 class _Budget:
@@ -558,7 +539,8 @@ class _Budget:
 def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
                    seed: int = 0) -> tuple[DpcParams, float]:
     """Maximize the DPC sum rate by multi-start projected coordinate
-    ascent over the coefficient magnitudes (phases fixed coherent).
+    ascent over x = (|beta|, |gamma_2|, ..., |gamma_K|) with phases fixed
+    coherent and every transmitter at full power (_full_power).
 
     The closed-form choices are always among the starts, so the result
     is never below the closed-form inner bound.
@@ -566,19 +548,17 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = ch.k
+    copies = _zf_copies(k)
     budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
 
     def objective(x: np.ndarray) -> float:
-        return dpc_rates(ch, _params_from_mags(ch, x)).total
+        return dpc_rates(ch, _full_power(ch, x)).total
 
-    starts = [_mags_from_params(successive_params(ch), k),
-              np.zeros(2 * k - 1)]
-    if ch.inr >= 1.0:
-        starts.insert(0, _mags_from_params(closed_form_params(ch), k))
-    bf = np.zeros(2 * k - 1)
-    bf[k:] = 1.0  # all cognitive power on beamforming
-    starts.append(bf)
+    # The closed-form choices, then x = 0: all cognitive power beamforms.
+    closed = [closed_form_params(ch)] if ch.inr >= 1.0 else []
+    starts = [np.array([abs(p.beta), *map(abs, p.gamma)])
+              for p in closed + [successive_params(ch)]] + [np.zeros(k)]
     while len(starts) < 16:
         starts.append(_random_feasible(ch, rng))
 
@@ -588,20 +568,11 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
 
     def coord_bound(x: np.ndarray, i: int) -> float:
         """Largest feasible value of coordinate i given the others."""
-        b2 = x[0] ** 2
-        if i == 0:
-            if k == 2:
-                return 0.0
-            cap = min(1.0 - x[j - 1] ** 2 - x[k + j - 2] ** 2
-                      for j in range(2, k))
-            cap = min(cap,
-                      (1.0 - x[k - 1] ** 2 - x[2 * k - 2] ** 2) / (k - 2))
-            return math.sqrt(max(0.0, cap))
-        j = i + 1 if i < k else i - k + 2   # owning transmitter
-        partner = i + k - 1 if i < k else i - k + 1
-        zf = (k - 2) * b2 if j == k else b2
-        cap = 1.0 - zf - x[partner] ** 2
-        return math.sqrt(max(0.0, cap))
+        if i > 0:
+            return math.sqrt(max(0.0, 1.0 - copies[i - 1] * x[0] ** 2))
+        if k == 2:
+            return 0.0  # beta is sent by no one
+        return math.sqrt(max(0.0, min((1.0 - x[1:] ** 2) / copies)))
 
     def line_max(x: np.ndarray, i: int, hi_val: float) -> tuple[float, float]:
         """Grid-then-zoom 1-D maximization of coordinate i on [0, hi]."""
@@ -621,15 +592,15 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
         return best_v, best_t
 
     # Phase 1: coordinate ascent on roughly half the budget.  Axis moves
-    # stall where two coefficients sit jointly on the power boundary, so
-    # phase 2 polishes with a penalized simplex search that can move
-    # along the boundary.
+    # stall where beta and a gamma sit jointly on a transmitter's power
+    # boundary, so phase 2 polishes with a simplex search in coordinates
+    # that can move along the boundary.
     ascent_budget = max(budget // 2, 1)
     x = best_x.copy()
     improved = True
     while improved and budget_ctr.used < ascent_budget:
         improved = False
-        for i in range(2 * k - 1):
+        for i in range(k):
             ub = coord_bound(x, i)
             v, t = line_max(x.copy(), i, ub)
             if v > best_val + TOL.convergence:
@@ -645,23 +616,23 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     def free_obj(z: np.ndarray) -> float:
         if not budget_ctr.spend():
             raise StopIteration
-        return -objective(_free_to_mags(k, z))
+        return -objective(_free_to_x(k, z))
 
     polish_starts = [best_x.copy()] + starts[:3]
     per_start = max((budget - budget_ctr.used) // (len(polish_starts) + 1),
                     40)
-    incumbent = _mags_to_free(k, best_x)
+    incumbent = _x_to_free(k, best_x)
     for x0 in polish_starts:
         if budget_ctr.used >= budget:
             break
         try:
-            res = minimize(free_obj, _mags_to_free(k, x0),
+            res = minimize(free_obj, _x_to_free(k, x0),
                            method="Nelder-Mead",
                            options={"maxfev": per_start,
                                     "xatol": 1e-8, "fatol": 1e-11})
         except StopIteration:
             break
-        xv = _free_to_mags(k, res.x)
+        xv = _free_to_x(k, res.x)
         val = objective(xv)
         if val > best_val:
             best_val, best_x, incumbent = val, xv, res.x
@@ -670,14 +641,14 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
             res = minimize(free_obj, incumbent, method="Nelder-Mead",
                            options={"maxfev": budget - budget_ctr.used,
                                     "xatol": 1e-9, "fatol": 1e-12})
-            xv = _free_to_mags(k, res.x)
+            xv = _free_to_x(k, res.x)
             val = objective(xv)
             if val > best_val:
                 best_val, best_x = val, xv
         except StopIteration:
             pass
 
-    return _params_from_mags(ch, best_x), best_val
+    return _full_power(ch, best_x), best_val
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ class GdofCurve:
     model: str
     k: int
     samples: tuple[tuple[float, float], ...]  # (alpha, d)
-    normalized: bool
 
     def __post_init__(self):
         alphas = [a for a, _ in self.samples]
@@ -93,7 +92,7 @@ def gdof_ifc(alpha: float, k: int, discontinuity: bool = False) -> float:
 _MODEL_FUNCS = {"cms": gdof_cms, "ifc": gdof_ifc, "bc": gdof_bc}
 
 
-def curve_sweep(model: str, k: int, alpha_grid, normalized: bool = False,
+def curve_sweep(model: str, k: int, alpha_grid,
                 discontinuity: bool = False) -> GdofCurve:
     """Sample a model's closed form over an increasing alpha grid."""
     if model not in _MODEL_FUNCS:
@@ -102,9 +101,8 @@ def curve_sweep(model: str, k: int, alpha_grid, normalized: bool = False,
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
     fn = _MODEL_FUNCS[model]
-    scale = k if normalized else 1
-    samples = tuple((a, fn(a, k, discontinuity) / scale) for a in alphas)
-    return GdofCurve(model=model, k=k, samples=samples, normalized=normalized)
+    samples = tuple((a, fn(a, k, discontinuity)) for a in alphas)
+    return GdofCurve(model=model, k=k, samples=samples)
 
 
 def empirical_gdof(k: int, alpha: float, snr_db_list) -> SlopeEstimate:

@@ -6,7 +6,6 @@ slacks on the Gaussian side.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest

@@ -1,6 +1,7 @@
 """Command-line interface: grids, config files, CSV output, exit codes."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -239,6 +240,25 @@ class TestGdofCurves:
                        "--out", str(tmp_path / "d.csv")])
         assert rc == 2
 
+    def test_config_booleans(self, tmp_path, capsys):
+        def run(*args):
+            out = tmp_path / "d.csv"
+            rc = cli.main(["gdof-curves", "--models", "cms", "--alpha", "1",
+                           *args, "--out", str(out)])
+            return rc, out.read_text() if rc == 0 else None
+
+        cfg = tmp_path / "run.cfg"
+        on, off = run("--discontinuity"), run()
+        assert on != off
+        for word, want in [("1", on), ("TRUE", on), ("Yes", on),
+                           ("0", off), ("false", off), ("NO", off)]:
+            cfg.write_text(f"discontinuity={word}\n")
+            assert run("--config", str(cfg)) == want, word
+        for word in ("maybe", "", "2", "on"):
+            cfg.write_text(f"discontinuity={word}\n")
+            assert run("--config", str(cfg)) == (2, None), word
+            assert "config error:" in capsys.readouterr().err
+
     def test_empirical_columns_skip_alpha_near_one(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = cli.main(["gdof-curves", "--models", "cms", "--k", "3",
@@ -280,6 +300,63 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     assert cli.main(argv + ["--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Too large a deterministic channel: rejected before anything is built.
+@pytest.mark.parametrize("argv", [
+    ["ldc-outer", "--samples", "2", "--max-gain", "100000"],
+    ["ldc-outer", "--samples", "2", "--max-gain", "86"],
+    ["ldc-outer", "--samples", "1000000000"],
+    ["ldc-verify", "--nd", "100000"],
+    ["ldc-verify", "--nd", "0", "--ni", "0", "--k", "100000"],
+    ["ldc-verify", "--nd", "65", "--ni", "0", "--k", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_oversized_ldc_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ldc-verify", "ldc-outer"])
+def test_oversized_gains_file_exits_2(command, tmp_path, capsys):
+    gains = tmp_path / "g.txt"
+    gains.write_text("86 0 0\n0 1 0\n0 0 1\n")  # 3 * 86 > MAX_LDC_SIZE
+    rc = cli.main([command, "--gains-file", str(gains),
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ldc-outer", "--samples", "1", "--max-gain", "85"],
+    ["ldc-verify", "--nd", "64", "--ni", "0", "--k", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_largest_ldc_input_runs(tmp_path, argv):
+    assert cli.MAX_LDC_SIZE == 256
+    assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_unwritable_output_exits_2(command, tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert cli.main([command, "--out", str(missing)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out=\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert cli.main([command, "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError):
+        cli.write_csv(str(missing), ["a"], [])
 
 
 @pytest.mark.parametrize("command", ["ldc-verify", "gdof-curves"])

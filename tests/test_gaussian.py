@@ -603,7 +603,64 @@ class TestSumBoundEvaluation:
             assert np.abs(back @ back.conj().T - lifted).max() <= 1e-9
 
 
+def channel(k, snr_db, alpha, phase=None):
+    """k-user channel, with the interfering gain at phase if given."""
+    ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
+    if phase is None:
+        return ch
+    return gaussian.GaussianSymChannel(ch.hd, cmath.rect(abs(ch.hi), phase),
+                                       k)
+
+
+def transmitter_powers(p, k):
+    return np.diag(gaussian.input_covariance(p, k)).real
+
+
+class TestFullPower:
+    @given(st.integers(2, 6), st.floats(-10.0, 60.0), st.floats(0.0, 3.0),
+           st.one_of(st.none(), st.floats(0.0, 2 * math.pi)),
+           st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11))
+    @settings(max_examples=300, deadline=None)
+    def test_full_power_never_lowers_the_rate(self, k, snr_db, alpha, phase,
+                                              u):
+        # any feasible point of the (beta, gamma, alpha) family: beta up to
+        # its cap, then each transmitter's used power and gamma/alpha split
+        ch = channel(k, snr_db, alpha, phase)
+        beta = u[0] / math.sqrt(k - 2) if k > 2 else 0.0
+        gamma, alphas = [], []
+        for j in range(2, k + 1):
+            room = max(0.0, 1.0 - ((k - 2) if j == k else 1) * beta ** 2)
+            used, split = room * u[2 * j - 3], u[2 * j - 2]
+            gamma.append(math.sqrt(used * split))
+            alphas.append(math.sqrt(used * (1.0 - split)))
+        p = gaussian.DpcParams(
+            alpha=(gaussian._primary_phase(ch.hi), *map(complex, alphas)),
+            beta=complex(beta), gamma=tuple(map(complex, gamma)))
+        full = gaussian._full_power(ch, np.array([beta, *gamma]))
+        full.validate(k)
+        assert np.abs(transmitter_powers(full, k) - 1.0).max() <= 1e-9
+        assert (gaussian.dpc_rates(ch, full).total
+                >= gaussian.dpc_rates(ch, p).total - 1e-9)
+
+
 class TestOptimizers:
+    @pytest.mark.parametrize("k,snr_db,alpha,phase", [
+        (2, 20.0, 1.5, None), (3, 20.0, 1.5, None), (3, 50.0, 2.5, 1.0),
+        (4, 50.0, 1.5, None), (5, 30.0, 2.0, 1.0), (6, 10.0, 0.25, None)])
+    def test_inner_runs_every_transmitter_at_full_power(self, k, snr_db,
+                                                        alpha, phase):
+        ch = channel(k, snr_db, alpha, phase)
+        params, val = gaussian.optimize_inner(ch, budget=300, seed=0)
+        params.validate(k)
+        assert np.abs(transmitter_powers(params, k) - 1.0).max() <= 1e-9
+        assert gaussian.dpc_rates(ch, params).total == val
+
+    def test_inner_full_power_regression_point(self):
+        # the 2K-1 magnitude search stopped at 10.9753 bits here
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(10.0, 0.25, 6)
+        _, val = gaussian.optimize_inner(ch, budget=500, seed=0)
+        assert val >= 11.97
+
     def test_inner_never_below_closed_form(self):
         for snr_db, alpha in ((10.0, 0.5), (20.0, 1.5), (40.0, 2.5)):
             ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, 3)

@@ -1,7 +1,7 @@
 """Generalized degrees-of-freedom curves and empirical slope fits."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cifc_cms import gdof
@@ -55,8 +55,8 @@ class TestClosedForms:
 
 class TestCurveSweep:
     def test_samples_and_normalization(self):
-        curve = gdof.curve_sweep("cms", 4, [0.0, 0.5, 2.0], normalized=True)
-        assert curve.samples == ((0.0, 1.0), (0.5, 0.875), (2.0, 1.5))
+        curve = gdof.curve_sweep("cms", 4, [0.0, 0.5, 2.0])
+        assert curve.samples == ((0.0, 4.0), (0.5, 3.5), (2.0, 6.0))
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
