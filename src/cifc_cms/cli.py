@@ -8,7 +8,6 @@ codes: 0 success, 1 invariant violation on the sweep, 2 config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from itertools import repeat
@@ -28,6 +27,9 @@ MAX_GRID_POINTS = 1_000_000
 # Users times bit levels, K * max(m, 1), of one deterministic channel,
 # the side of the matrices its schemes and proofs build (256: < 1 s).
 MAX_LDC_SIZE = 256
+# Users of one Gaussian channel: time and memory grow linearly in K
+# (10^4 users: about 0.1 s for one gaussian-gap point).
+MAX_GAUSSIAN_K = 10_000
 
 
 def _check_ldc_size(k: int, m: int) -> None:
@@ -101,15 +103,19 @@ def load_gains_file(path: str) -> ldc.LdcGains:
     return g
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Cells must be str, int or Python float: csv writes a float as its
-    repr and anything else as str, so a numpy scalar or a bool would
-    leak its repr."""
+def _line(cells) -> str:
+    """One CSV line, CRLF ended.  Cells are str, int or Python float,
+    whose str is its repr; no cell the CLI writes needs quoting."""
+    return ",".join(map(str, cells)) + "\r\n"
+
+
+def write_csv(path: str, header: list[str], rows: list[str]) -> None:
+    """Write the header line and ``rows``, the finished lines (`_line`),
+    one per row."""
     try:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(_line(header))
+            fh.writelines(rows)
     except OSError as exc:
         raise ConfigError(f"cannot write output CSV: {exc}") from exc
 
@@ -120,15 +126,16 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def cmd_ldc_verify(opts) -> int:
     header = ["nd", "ni", "k", "sum_rate", "outer_bound", "verified", "mode"]
-    rows: list[list] = []
+    rows: list[str] = []
     violated = False
 
     def run_scheme(g, scheme, nd, ni, outer_value):
         nonlocal violated
         report = ldc.verify_scheme(g, scheme)
         total = scheme.total_bits
-        rows.append([nd, ni, g.k, total, outer_value,
-                     "true" if report.passed else "false", report.mode])
+        rows.append(_line([nd, ni, g.k, total, outer_value,
+                           "true" if report.passed else "false",
+                           report.mode]))
         # A verified scheme above the stated capacity refutes the bound.
         if not report.passed or total != outer_value:
             violated = True
@@ -157,7 +164,7 @@ def cmd_ldc_outer(opts) -> int:
     header = (["n11", "n12", "n13", "n21", "n22", "n23", "n31", "n32", "n33"]
               + ["outer", "term1", "term2", "term3", "case_label",
                  "rank_bound"])
-    rows: list[list] = []
+    rows: list[str] = []
     violated = False
 
     if opts.gains_file:
@@ -181,10 +188,10 @@ def cmd_ldc_outer(opts) -> int:
         rank = ldc.chain_rank_bound(g)
         if rank > bound.value:
             violated = True
-        rows.append([*(g.n[l][i] for l in range(3) for i in range(3)),
-                     bound.value, terms["rx1_full"],
-                     terms["rx2_conditional"], terms["rx3_private"],
-                     case, rank])
+        rows.append(_line([*(g.n[l][i] for l in range(3) for i in range(3)),
+                           bound.value, terms["rx1_full"],
+                           terms["rx2_conditional"], terms["rx3_private"],
+                           case, rank]))
 
     write_csv(opts.out, header, rows)
     return 1 if violated else 0
@@ -194,25 +201,29 @@ def cmd_gaussian_gap(opts) -> int:
     header = ["k", "snr_db", "alpha", "outer_analytic", "inner_closed",
               "gap_analytic_observed", "gap_bound", "inner_opt",
               "outer_opt", "gap_numeric", "mult_ratio"]
-    rows: list = []
+    rows: list[str] = []
+    alpha_cells = list(map(repr, opts.alpha))
     # One kernel call per (k, SNR) row, or per point when optimizing, so
     # that certificate and optimizer errors surface in sweep order.
     step = 1 if opts.budget > 0 else max(len(opts.alpha), 1)
     for k in opts.k:
         for snr_db in opts.snr_db:
+            head = f"{k},{snr_db!r}"
             for lo in range(0, len(opts.alpha), step):
                 alphas = opts.alpha[lo:lo + step]
                 cert = gaussian.gap_certificate_grid(
                     gaussian.ChannelGrid.from_snr_alpha(snr_db, alphas, k))
-                numeric = [repeat("")] * 3
+                numeric = ("", "", "")
                 if opts.budget > 0:
-                    numeric = zip(*(_optimized(k, snr_db, a, opts)
-                                    for a in alphas))
-                rows += zip(repeat(k), repeat(snr_db), alphas,
-                            cert.outer.tolist(), cert.inner.tolist(),
-                            cert.additive_gap.tolist(),
-                            repeat(cert.analytic_gap_bound), *numeric,
-                            cert.multiplicative_ratio.tolist())
+                    numeric = _optimized(k, snr_db, alphas[0], opts)
+                # gap_bound to mult_ratio, mult_ratio as a format field
+                tail = _line([cert.analytic_gap_bound, *numeric, "{!r}"])
+                rows += map(",".join, zip(
+                    repeat(head), alpha_cells[lo:lo + step],
+                    map(repr, cert.outer.tolist()),
+                    map(repr, cert.inner.tolist()),
+                    map(repr, cert.additive_gap.tolist()),
+                    map(tail.format, cert.multiplicative_ratio.tolist())))
 
     write_csv(opts.out, header, rows)
     return 0
@@ -234,7 +245,7 @@ def _optimized(k: int, snr_db: float, alpha: float, opts) -> tuple:
 def cmd_gdof_curves(opts) -> int:
     header = ["model", "k", "alpha", "d", "d_normalized",
               "d_emp_inner", "d_emp_outer"]
-    rows: list[list] = []
+    rows: list[str] = []
 
     for model in opts.models:
         for k in opts.k:
@@ -250,7 +261,8 @@ def cmd_gdof_curves(opts) -> int:
                 est = fits.get(alpha)
                 emp_in, emp_out = ((est.inner_slope, est.outer_slope)
                                    if est else ("", ""))
-                rows.append([model, k, alpha, d, d / k, emp_in, emp_out])
+                rows.append(_line([model, k, alpha, d, d / k, emp_in,
+                                   emp_out]))
 
     write_csv(opts.out, header, rows)
     return 0
@@ -369,7 +381,10 @@ _MAX_POWER_DB = 3000.0
 
 
 def _check_gaussian_grid(ks: list, snr_db: list, alphas: list) -> None:
-    """Reject SNR/alpha grids whose channels are not finite floats."""
+    """Reject SNR/alpha grids whose channels are not finite floats, and
+    user counts above MAX_GAUSSIAN_K."""
+    if ks and max(ks) > MAX_GAUSSIAN_K:
+        raise ConfigError(f"k = {max(ks)} exceeds {MAX_GAUSSIAN_K}")
     if not all(math.isfinite(v) for v in snr_db + alphas):
         raise ConfigError("snr-db and alpha values must be finite")
     if not (ks and snr_db and alphas):
@@ -392,6 +407,8 @@ def _post_process(opts: argparse.Namespace) -> None:
     out = Path(opts.out)
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"cannot write output CSV {opts.out!r}")
+    if opts.command in ("ldc-outer", "gaussian-gap") and opts.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if opts.command == "ldc-verify":
         opts.nd = parse_grid(str(opts.nd), integer=True)
         opts.ni = parse_grid(str(opts.ni), integer=True)

@@ -27,6 +27,8 @@ class LdcGains:
 
     def __post_init__(self):
         k = len(self.n)
+        if k == 0:
+            raise ValueError("gain matrix must be non-empty")
         for row in self.n:
             if len(row) != k:
                 raise ValueError("gain matrix must be square")

@@ -1,11 +1,15 @@
 """Command-line interface: grids, config files, CSV output, exit codes."""
 
+import csv
+import io
 import math
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cifc_cms import cli, gaussian, gdof
 from test_gaussian import (oracle_certificate, oracle_outer_sum,
@@ -197,6 +201,21 @@ class TestGaussianGap:
             float(cell)  # numpy scalars must not leak their repr
         assert float(row["inner_opt"]) <= float(row["outer_opt"]) + 1e-6
 
+    def test_budget_rows_match_analytic_rows(self, tmp_path):
+        # one kernel call per point with --budget, one per (k, SNR) row
+        # without: every column but the numeric three must agree
+        args = ["gaussian-gap", "--k", "3,4", "--snr-db", "0,30",
+                "--alpha", "0.5,1,2.5"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(args + ["--out", str(a)]) == 0
+        assert cli.main(args + ["--budget", "50", "--out", str(b)]) == 0
+        rows_a = [r.split(",") for r in a.read_text().splitlines()]
+        rows_b = [r.split(",") for r in b.read_text().splitlines()]
+        assert len(rows_a) == len(rows_b) == 13
+        for ra, rb in zip(rows_a[1:], rows_b[1:]):
+            assert ra[:7] + ra[10:] == rb[:7] + rb[10:]
+            assert ra[7:10] == ["", "", ""] and rb[7] != ""
+
     def test_optimized_outer_below_inner_exits_1(self, tmp_path, monkeypatch,
                                                  capsys):
         monkeypatch.setattr(cli.gaussian, "_th1_sum_k3", lambda *a: 0.0)
@@ -294,6 +313,8 @@ class TestGdofCurves:
     ["gaussian-gap", "--alpha", "0:1e300:1e-300"],
     ["gaussian-gap", "--alpha", "0:1:1e-9"],   # too many points to build
     ["ldc-verify", "--nd", "0:1e9"],
+    ["ldc-outer", "--seed=-1"],
+    ["gaussian-gap", "--seed=-1", "--budget", "5"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -333,6 +354,63 @@ def test_oversized_gains_file_exits_2(command, tmp_path, capsys):
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("command", ["ldc-verify", "ldc-outer"])
+def test_empty_gains_file_exits_2(command, text, tmp_path, capsys):
+    gains = tmp_path / "g.txt"
+    gains.write_text(text)
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--gains-file", str(gains),
+                     "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("ldc-outer", []),
+    ("gaussian-gap", ["--budget", "5"]),
+], ids=["ldc-outer", "gaussian-gap"])
+def test_negative_seed_in_config_exits_2(command, extra, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-1\n")
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", str(cfg), *extra,
+                     "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian-gap", "--snr-db", "10", "--alpha", "1.5"],
+    ["gdof-curves", "--models", "cms", "--alpha", "0.5",
+     "--snr-db", "0,10"],
+], ids=lambda argv: argv[0])
+def test_gaussian_user_count_cap(argv, tmp_path, capsys):
+    cap = cli.MAX_GAUSSIAN_K
+    assert cap == 10_000
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--k", str(cap), "--out", str(out)]) == 0
+    out.unlink()
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv + ["--k", f"3,{cap + 1}", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_gaussian_user_count_cap_rejects_huge_k():
+    # checked alone, so a missing cap fails here without running the
+    # sweep (10^6 users at one point took 8 s and 245 MB)
+    for k in (10**6, 10**140):
+        with pytest.raises(cli.ConfigError, match="exceeds"):
+            cli._check_gaussian_grid([3, k], [10.0], [1.5])
 
 
 @pytest.mark.parametrize("argv", [
@@ -474,3 +552,51 @@ def test_bytes_match_oracle_at_benchmark_scale(tmp_path):
     assert dof.read_bytes() == oracle_csv(
         GDOF_HEADER, oracle_gdof_rows(["cms"], [3, 4], alphas,
                                       cli.parse_grid("40:80:1")))
+
+
+# The line writer against csv.writer.  Rows have at least two cells, as
+# every CLI row does: csv.writer quotes a lone empty cell as "".
+CSV_LABELS = ["", "true", "false", "exhaustive", "r3>0", "r3=0",
+              *gdof.MODELS]
+CSV_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+              1.5e-310, 2.2250738585072014e-308, 1e16, 1e-5, 1e22,
+              0.1 + 0.2, 123456789.0]
+csv_cells = st.one_of(
+    st.integers(), st.integers(-10, 300),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(CSV_FLOATS), st.sampled_from(CSV_LABELS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(csv_cells, min_size=2, max_size=16), max_size=6))
+def test_line_matches_csv_writer(rows):
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    assert "".join(map(cli._line, rows)) == buf.getvalue()
+
+
+# Every subcommand's output parses the same with csv.reader as with a
+# plain comma split: no cell needs quoting.
+@pytest.mark.parametrize("argv", [
+    ["ldc-verify", "--nd", "0:3", "--ni", "0:3", "--k", "3,4"],
+    ["ldc-verify", "--gains-file", "GAINS"],
+    ["ldc-outer", "--samples", "30", "--max-gain", "4", "--seed", "3"],
+    ["ldc-outer", "--gains-file", "GAINS"],
+    ["gaussian-gap", "--k", "3,4", "--snr-db=-10,0,30",
+     "--alpha", "0:3:0.5"],
+    ["gaussian-gap", "--k", "3,4", "--snr-db", "20", "--alpha", "0.5,1.5",
+     "--budget", "50"],
+    ["gdof-curves", "--k", "2,3", "--snr-db", "40,60"],
+    ["gdof-curves", "--discontinuity"],
+], ids=lambda argv: " ".join(argv))
+def test_csv_reader_equals_comma_split(argv, tmp_path):
+    gains = tmp_path / "g.txt"
+    gains.write_text("3 1 2\n0 4 1\n2 2 5\n")
+    argv = [str(gains) if a == "GAINS" else a for a in argv]
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        parsed = list(csv.reader(fh))
+    *lines, last = out.read_bytes().decode("ascii").split("\r\n")
+    assert last == "" and len(lines) > 1
+    assert parsed == [line.split(",") for line in lines]

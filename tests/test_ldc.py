@@ -160,6 +160,17 @@ class TestFFunction:
             ldc.f_function(-1, 0, 0, 0)
 
 
+class TestGains:
+    @pytest.mark.parametrize("rows", [[], [[]], [[1, 2]], [[1], [2]]])
+    def test_rejects_empty_and_non_square_matrices(self, rows):
+        with pytest.raises(ValueError):
+            ldc.LdcGains.from_matrix(rows)
+
+    def test_rejects_zero_users(self):
+        with pytest.raises(ValueError):
+            ldc.LdcGains.symmetric(2, 1, 0)
+
+
 class TestOuterBound3:
     def test_breakdown_terms(self):
         g = ldc.LdcGains.from_matrix([[3, 1, 2], [0, 4, 1], [2, 2, 5]])
