@@ -459,12 +459,8 @@ def _post_process(opts: argparse.Namespace) -> None:
         _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
 
 
-_COMMANDS = {
-    "ldc-verify": cmd_ldc_verify,
-    "ldc-outer": cmd_ldc_outer,
-    "gaussian-gap": cmd_gaussian_gap,
-    "gdof-curves": cmd_gdof_curves,
-}
+# Looked up when main runs, so that a wrapper set on cli.cmd_* is called.
+_COMMANDS = {c: "cmd_" + c.replace("-", "_") for c in _DEFAULTS}
 
 
 def main(argv=None) -> int:
@@ -473,7 +469,7 @@ def main(argv=None) -> int:
     try:
         opts = _merge_config(opts)
         _post_process(opts)
-        return _COMMANDS[opts.command](opts)
+        return globals()[_COMMANDS[opts.command]](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

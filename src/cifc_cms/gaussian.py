@@ -18,8 +18,10 @@ nothing, and every conditional covariance it needs is a block of l.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,20 +111,20 @@ class DpcParams:
         if len(self.alpha) != k or len(self.gamma) != k - 1:
             raise PowerConstraintViolated(
                 f"parameter vectors do not match k={k}")
-        slack = TOL.power_slack
-        if abs(self.alpha[0]) ** 2 > 1 + slack:
-            raise PowerConstraintViolated("transmitter 1 power exceeded")
-        b2 = abs(self.beta) ** 2
-        for j in range(2, k):  # middle transmitters
-            used = abs(self.gamma[j - 2]) ** 2 + b2 + abs(self.alpha[j - 1]) ** 2
-            if used > 1 + slack:
-                raise PowerConstraintViolated(
-                    f"transmitter {j} power {used:.12f} > 1")
-        used_k = (abs(self.gamma[k - 2]) ** 2 + (k - 2) * b2
-                  + abs(self.alpha[k - 1]) ** 2)
-        if used_k > 1 + slack:
+        _check_powers(_zf_copies(k), abs(self.alpha[0]) ** 2, self.beta,
+                      self.gamma, self.alpha[1:])
+
+
+def _check_powers(copies, a1_power, beta, gamma, alpha) -> None:
+    """validate's comparisons; gamma and alpha start at transmitter 2."""
+    limit = 1 + TOL.power_slack
+    if a1_power > limit:
+        raise PowerConstraintViolated("transmitter 1 power exceeded")
+    for j, (c, g, a) in enumerate(zip(copies, gamma, alpha), start=2):
+        used = abs(g) ** 2 + c * abs(beta) ** 2 + abs(a) ** 2
+        if used > limit:
             raise PowerConstraintViolated(
-                f"transmitter {k} power {used_k:.12f} > 1")
+                f"transmitter {j} power {used:.12f} > 1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class RateVector:
 
     @property
     def total(self) -> float:
-        return sum(self.rates)
+        return _add(self.rates)
 
 
 @dataclass(frozen=True)
@@ -158,21 +160,30 @@ def dpc_rates(ch: GaussianSymChannel, p: DpcParams) -> RateVector:
     1 -> 2 -> ... -> K).  Raises PowerConstraintViolated on infeasible
     parameters."""
     p.validate(ch.k)
-    k, hd = ch.k, ch.hd
-    hi_mag = abs(ch.hi)
-    g2 = [abs(g) ** 2 for g in p.gamma]          # |gamma_j|^2, j = 2..K
-    b2 = abs(p.beta) ** 2
+    return RateVector(tuple(_rates(ch)(p.alpha[1:], p.beta, p.gamma)))
 
-    rates = []
-    num1 = abs(hd + hi_mag * sum(p.alpha[1:])) ** 2
-    den1 = 1.0 + hi_mag ** 2 * sum(g2)
-    rates.append(_log2p1(num1 / den1) if den1 > 0 else 0.0)
-    for j in range(2, k):
-        num = abs(hd - ch.hi) ** 2 * b2 + hd ** 2 * g2[j - 2]
-        den = 1.0 + hi_mag ** 2 * sum(g2[j - 1:])
-        rates.append(_log2p1(num / den))
-    rates.append(_log2p1(hd ** 2 * g2[-1]))
-    return RateVector(tuple(rates))
+
+def _add(terms, start=0.0):
+    """Left to right, as sum() of floats did before Python 3.12."""
+    return functools.reduce(operator.add, terms, start)
+
+
+def _rates(ch: GaussianSymChannel):
+    """rates(alpha, beta, gamma): the per-user rates of dpc_rates on ch for
+    alpha_2..alpha_K, beta and gamma_2..gamma_K (complex, or magnitudes)."""
+    hd, hi_mag = ch.hd, abs(ch.hi)
+    hi2, zf2, hd2 = hi_mag ** 2, abs(hd - ch.hi) ** 2, hd ** 2
+    def rates(alpha, beta, gamma) -> list[float]:
+        g2, b2 = [abs(g) ** 2 for g in gamma], abs(beta) ** 2
+        den1 = 1.0 + hi2 * _add(g2)
+        out = [_log2p1(abs(hd + hi_mag * _add(alpha, 0j)) ** 2 / den1)
+               if den1 > 0 else 0.0]
+        for j in range(len(g2) - 1):  # users 2..K-1
+            out.append(_log2p1((zf2 * b2 + hd2 * g2[j])
+                               / (1.0 + hi2 * _add(g2[j + 1:]))))
+        out.append(_log2p1(hd2 * g2[-1]))
+        return out
+    return rates
 
 
 def _primary_phase(hi: complex) -> complex:
@@ -254,11 +265,9 @@ def induced_covariances(p: DpcParams, k: int) -> list[np.ndarray]:
     p.validate(k)
     a = np.array(p.alpha, dtype=complex).reshape(-1, 1)
     covs = [a @ a.conj().T]
+    eye = np.eye(k, dtype=complex)
     for j in range(2, k + 1):
-        e_j = np.zeros((k, 1), dtype=complex)
-        e_j[j - 1] = 1.0
-        e_k = np.zeros((k, 1), dtype=complex)
-        e_k[k - 1] = 1.0
+        e_j, e_k = eye[:, j - 1:j], eye[:, k - 1:]
         sig = abs(p.gamma[j - 2]) ** 2 * (e_j @ e_j.conj().T)
         if j < k:
             d = e_j - e_k
@@ -473,11 +482,26 @@ def _full_power(ch: GaussianSymChannel, x: np.ndarray) -> DpcParams:
     transmitter at full power: alpha_j takes the room gamma_j leaves.
     Only R_1 depends on alpha_2..alpha_K, and it grows with each, so
     this loses nothing."""
-    beta, *gamma = x.tolist()  # Python floats: this runs per evaluation
-    alpha = [math.sqrt(max(1.0 - c * beta ** 2 - g ** 2, 0.0))
-             for c, g in zip(_zf_copies(ch.k), gamma)]
+    beta, gamma, alpha = _full_floats(_zf_copies(ch.k), x)
     return DpcParams(alpha=(_primary_phase(ch.hi), *map(complex, alpha)),
                      beta=complex(beta), gamma=tuple(map(complex, gamma)))
+
+
+def _full_floats(copies: list[float], x: np.ndarray) -> tuple:
+    beta, *gamma = x.tolist()
+    return beta, gamma, [math.sqrt(max(1.0 - c * beta ** 2 - g ** 2, 0.0))
+                         for c, g in zip(copies, gamma)]
+
+
+def _full_power_rate(ch: GaussianSymChannel):
+    """objective(x) = dpc_rates(ch, _full_power(ch, x)).total, bit for bit."""
+    copies, rates = _zf_copies(ch.k), _rates(ch)
+    a1_power = abs(_primary_phase(ch.hi)) ** 2
+    def objective(x: np.ndarray) -> float:
+        beta, gamma, alpha = _full_floats(copies, x)
+        _check_powers(copies, a1_power, beta, gamma, alpha)
+        return _add(rates(alpha, beta, gamma))
+    return objective
 
 
 def _random_feasible(ch: GaussianSymChannel,
@@ -551,9 +575,7 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     copies = _zf_copies(k)
     budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
-
-    def objective(x: np.ndarray) -> float:
-        return dpc_rates(ch, _full_power(ch, x)).total
+    objective = _full_power_rate(ch)
 
     # The closed-form choices, then x = 0: all cognitive power beamforms.
     closed = [closed_form_params(ch)] if ch.inr >= 1.0 else []
@@ -661,18 +683,22 @@ def _channel_matrix(ch: GaussianSymChannel) -> np.ndarray:
                     dtype=complex)
 
 
-def _th1_sum_k3(ch: GaussianSymChannel, l: np.ndarray,
-                noise: np.ndarray) -> float:
-    """The 3-user sum bound for inputs X = l W (l lower triangular with
-    non-zero diagonal, W white) and marginal-preserving noise.
+def _noise_terms(h: np.ndarray, noise: np.ndarray) -> tuple:
+    """The terms of _th1_sum_k3 free of l, for the noise covariance noise."""
+    n, h3 = np.asarray(noise), h[:, 2]
+    return (n[0, 0].real, np.linalg.cholesky(n[:2, :2]),
+            np.vdot(h3, np.linalg.solve(n, h3)).real,
+            np.vdot(h3[:2], np.linalg.solve(n[:2, :2], h3[:2])).real)
+
+
+def _th1_sum_k3(h: np.ndarray, l: np.ndarray, terms: tuple) -> float:
+    """The 3-user sum bound for channel matrix h, inputs X = l W (l lower
+    triangular, non-zero diagonal, W white) and terms = _noise_terms(h, N).
 
     Every term is log1p of a non-negative quantity, so the evaluation
     stays accurate at arbitrary SNR (no large log-det differences).
     """
-    h = _channel_matrix(ch)
-    n = np.asarray(noise)
-    n2 = n[:2, :2]
-    n11 = n[0, 0].real
+    n11, chol2, q_full, q_part = terms
 
     # I(Y1; X1 X2 X3) = log(1 + |h1 l|^2 / N11)
     u = h[0] @ l
@@ -682,7 +708,7 @@ def _th1_sum_k3(ch: GaussianSymChannel, l: np.ndarray,
     # with l' = l[1:, 1:] and W the whitened map (X2, X3) -> (Y1, Y2);
     # for 2x2 W, det(I + W^H W) = 1 + |W|_F^2 + |det W|^2.
     lp = l[1:, 1:]
-    w = np.linalg.solve(np.linalg.cholesky(n2), h[:2, 1:] @ lp)
+    w = np.linalg.solve(chol2, h[:2, 1:] @ lp)
     det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
     u1 = h[0, 1:] @ lp
     t2 = (math.log1p(np.vdot(w, w).real + abs(det_w) ** 2)
@@ -691,9 +717,6 @@ def _th1_sum_k3(ch: GaussianSymChannel, l: np.ndarray,
     # I(Y3; X3 | X1, Y1, X2, Y2): rank-one update by the conditional
     # variance |l33|^2 of X3 given (X1, X2).
     v = abs(l[2, 2]) ** 2
-    h3 = h[:, 2]
-    q_full = np.vdot(h3, np.linalg.solve(n, h3)).real
-    q_part = np.vdot(h3[:2], np.linalg.solve(n2, h3[:2])).real
     t3 = math.log1p(v * q_full) - math.log1p(v * q_part)
 
     return (t1 + t2 + max(t3, 0.0)) / _LN2
@@ -711,11 +734,11 @@ def _noise_from_rho(rho: np.ndarray) -> np.ndarray | None:
 def _factor_from_vec(x: np.ndarray) -> np.ndarray:
     """Unconstrained 8-vector -> lower-triangular factor l of a complex
     correlation matrix l l^H: l[0, 0] = 1, complex entries below the
-    diagonal, real diagonal, unit-norm rows."""
-    l = np.array([[1.0, 0.0, 0.0],
-                  [x[0] + 1j * x[1], x[2], 0.0],
-                  [x[3] + 1j * x[4], x[5] + 1j * x[6], x[7]]])
-    return l / np.linalg.norm(l, axis=1, keepdims=True)
+    diagonal, real diagonal, unit-norm rows (np.linalg.norm's row norm)."""
+    x0, x1, x2, x3, x4, x5, x6, x7 = np.asarray(x).tolist()
+    l = np.array([[1.0, 0.0, 0.0], [complex(x0, x1), x2, 0.0],
+                  [complex(x3, x4), complex(x5, x6), x7]])
+    return l / np.sqrt(np.add.reduce((l.conj() * l).real, 1, keepdims=True))
 
 
 def _vec_from_sigma(sigma: np.ndarray) -> np.ndarray:
@@ -770,24 +793,29 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
         sigma_starts.append(input_covariance(prm, 3))
     start_vecs = [_vec_from_sigma(s) for s in sigma_starts]
     start_vecs += [rng.normal(scale=0.5, size=8) for _ in range(2)]
+    start_factors = [_factor_from_vec(x0) for x0 in start_vecs]
+    h = _channel_matrix(ch)
+
+    def start_values(terms: tuple) -> list[float]:
+        """The bound at the start factors, while the budget lasts."""
+        paid = itertools.takewhile(lambda _: budget_ctr.spend(), start_factors)
+        return [_th1_sum_k3(h, l0, terms) for l0 in paid]
 
     def max_over_sigma(noise: np.ndarray, maxfev: int) -> float:
+        terms = _noise_terms(h, noise)
+
         def neg(x: np.ndarray) -> float:
             if not budget_ctr.spend():
                 raise StopIteration
-            return -_th1_sum_k3(ch, _factor_from_vec(x), noise)
+            return -_th1_sum_k3(h, _factor_from_vec(x), terms)
 
-        best = -math.inf
-        best_x = None
-        for x0 in start_vecs:
-            try:
-                val = -neg(x0)
-            except StopIteration:
-                # Budget-starved points are under-maximized; report +inf
-                # so the outer min over noise never selects them.
-                return math.inf
-            if val > best:
-                best, best_x = val, x0
+        vals = start_values(terms)
+        if len(vals) < len(start_vecs):
+            # Budget-starved points are under-maximized; report +inf
+            # so the outer min over noise never selects them.
+            return math.inf
+        best = max(vals)
+        best_x = start_vecs[vals.index(best)]
         per_start = max(40, maxfev // (len(start_vecs) + 1))
         for x0 in start_vecs:
             try:
@@ -817,12 +845,8 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
         noise = _noise_from_rho(rho)
         if noise is None:
             continue
-        val = -math.inf
-        for x0 in start_vecs:
-            if not budget_ctr.spend():
-                break
-            val = max(val, _th1_sum_k3(ch, _factor_from_vec(x0), noise))
-        cheap.append((val, rho))
+        cheap.append((max(start_values(_noise_terms(h, noise)),
+                          default=-math.inf), rho))
     cheap.sort()
 
     remaining = max(budget - budget_ctr.used, 1)

@@ -449,6 +449,18 @@ def test_seed_is_not_an_option_of(command, tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_main_runs_the_patched_subcommand(tmp_path, monkeypatch):
+    # main looks cmd_* up when it runs, so a wrapper set on the module
+    # attribute (a tracer's, a test's) is the function called
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gaussian_gap",
+                        lambda opts: seen.append(opts.k) or 7)
+    out = tmp_path / "g.csv"
+    assert cli.main(["gaussian-gap", "--k", "3,4", "--out", str(out)]) == 7
+    assert seen == [[3, 4]]
+    assert not out.exists()
+
+
 def test_gain_power_limit_counts_k(tmp_path):
     # 2990 dB alone fits; with k = 8 the 18 dB of k^2 pushes it past
     ok = ["gaussian-gap", "--k", "3", "--snr-db", "2990", "--alpha", "0.5"]

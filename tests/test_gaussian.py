@@ -525,6 +525,75 @@ class TestMutualInfo:
                 np.array([[1.0, 2.0], [2.0, 1.0]]), [0], [1])
 
 
+# _th1_sum_k3 and _factor_from_vec as they were before the terms that
+# depend only on the channel and the noise moved out (_noise_terms), kept
+# as their bitwise oracle.
+
+def oracle_th1_sum_k3(ch, l, noise):
+    h = gaussian._channel_matrix(ch)
+    n = np.asarray(noise)
+    n2 = n[:2, :2]
+    n11 = n[0, 0].real
+    u = h[0] @ l
+    t1 = math.log1p(np.vdot(u, u).real / n11)
+    lp = l[1:, 1:]
+    w = np.linalg.solve(np.linalg.cholesky(n2), h[:2, 1:] @ lp)
+    det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    u1 = h[0, 1:] @ lp
+    t2 = (math.log1p(np.vdot(w, w).real + abs(det_w) ** 2)
+          - math.log1p(np.vdot(u1, u1).real / n11))
+    v = abs(l[2, 2]) ** 2
+    h3 = h[:, 2]
+    q_full = np.vdot(h3, np.linalg.solve(n, h3)).real
+    q_part = np.vdot(h3[:2], np.linalg.solve(n2, h3[:2])).real
+    t3 = math.log1p(v * q_full) - math.log1p(v * q_part)
+    return (t1 + t2 + max(t3, 0.0)) / _LN2
+
+
+def oracle_factor_from_vec(x):
+    l = np.array([[1.0, 0.0, 0.0],
+                  [x[0] + 1j * x[1], x[2], 0.0],
+                  [x[3] + 1j * x[4], x[5] + 1j * x[6], x[7]]])
+    return l / np.linalg.norm(l, axis=1, keepdims=True)
+
+
+def th1(ch, l, noise):
+    """The sum bound at channel ch, factor l and noise covariance noise."""
+    h = gaussian._channel_matrix(ch)
+    return gaussian._th1_sum_k3(h, l, gaussian._noise_terms(h, noise))
+
+
+# Unconstrained factor vectors as the outer search meets them, with rows
+# kept away from zero norm.
+_coord = st.floats(-3.0, 3.0)
+search_vecs = st.tuples(*[_coord] * 8).filter(
+    lambda x: max(map(abs, x[:3])) > 1e-3 and max(map(abs, x[3:])) > 1e-3)
+_open_rho = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
+
+
+class TestHoistedTermsMatchOracle:
+    @given(search_vecs)
+    @settings(max_examples=500, deadline=None)
+    def test_factor_bitwise(self, x):
+        x = np.array(x)
+        got, want = gaussian._factor_from_vec(x), oracle_factor_from_vec(x)
+        assert np.array_equal(got.view(float), want.view(float))
+
+    @given(search_vecs, st.tuples(*[st.floats(0.05, 1.0)] * 3),
+           st.floats(0.0, 60.0), st.floats(0.0, 3.0),
+           st.none() | st.floats(-math.pi, math.pi),
+           st.tuples(_open_rho, _open_rho, _open_rho))
+    @settings(max_examples=500, deadline=None)
+    def test_bound_bitwise(self, x, power, snr_db, alpha, phase, rho):
+        noise = gaussian._noise_from_rho(rho)
+        if noise is None:
+            return
+        ch = channel(3, snr_db, alpha, phase)
+        l = gaussian._factor_from_vec(np.array(x))
+        for f in (l, np.sqrt(power)[:, None] * l):
+            assert th1(ch, f, noise) == oracle_th1_sum_k3(ch, f, noise)
+
+
 class TestSumBoundEvaluation:
     def test_stable_matches_logdet_route_at_moderate_snr(self):
         # two independent evaluations of the same three-term bound: the
@@ -542,13 +611,13 @@ class TestSumBoundEvaluation:
                             rng.uniform(-0.4, 0.4, 3))
                         if noise is None:
                             continue
-                        a = gaussian._th1_sum_k3(ch, l, noise)
+                        a = th1(ch, l, noise)
                         b = th1_sum_k3_joint(ch, l @ l.conj().T, noise)
                         assert a == pytest.approx(b, abs=1e-6)
 
     def test_stable_route_survives_extreme_snr(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(50.0, 3.0, 3)
-        val = gaussian._th1_sum_k3(ch, np.eye(3, dtype=complex), np.eye(3))
+        val = th1(ch, np.eye(3, dtype=complex), np.eye(3))
         assert math.isfinite(val)
         assert 0.0 < val <= gaussian.outer_sum(ch) + 1e-6
 
@@ -563,7 +632,7 @@ class TestSumBoundEvaluation:
                     snr_db, alpha, 3)
                 for _ in range(5):
                     l = gaussian._factor_from_vec(rng.normal(size=8))
-                    val = gaussian._th1_sum_k3(ch, l, np.eye(3))
+                    val = th1(ch, l, np.eye(3))
                     assert val <= oracle_outer_general(ch) + 1e-6
 
     @given(factor_vecs, powers, st.floats(0.0, 40.0), st.floats(0.0, 3.0),
@@ -578,8 +647,7 @@ class TestSumBoundEvaluation:
         l = np.sqrt(power)[:, None] * gaussian._factor_from_vec(x)
         lifted = gaussian._factor_from_vec(
             gaussian._vec_from_sigma(l @ l.conj().T))
-        assert (gaussian._th1_sum_k3(ch, lifted, noise)
-                >= gaussian._th1_sum_k3(ch, l, noise) - 1e-9)
+        assert th1(ch, lifted, noise) >= th1(ch, l, noise) - 1e-9
 
     def test_factor_round_trip_reproduces_lifted_sigma(self):
         # random covariances below full power, and DPC input covariances,
@@ -643,6 +711,46 @@ class TestFullPower:
                 >= gaussian.dpc_rates(ch, p).total - 1e-9)
 
 
+def slow_objective(ch, x):
+    """The inner objective as dpc_rates evaluates it."""
+    return gaussian.dpc_rates(ch, gaussian._full_power(ch, x)).total
+
+
+class TestInnerObjective:
+    @given(st.integers(2, 6), st.floats(-10.0, 60.0), st.floats(0.0, 3.0),
+           st.none() | st.floats(-math.pi, math.pi),
+           st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_bitwise_dpc_rates(self, k, snr_db, alpha, phase, u, feasible):
+        # feasible: beta below its cap and each gamma_j within the room
+        # beta leaves; otherwise any x in [0, 1]^k, often over power
+        ch = channel(k, snr_db, alpha, phase)
+        x = np.array(u[:k])
+        if feasible:
+            copies = gaussian._zf_copies(k)
+            x[0] = u[0] / math.sqrt(copies[-1]) if k > 2 else 0.0
+            x[1:] = [math.sqrt(max(1.0 - c * x[0] ** 2, 0.0) * t)
+                     for c, t in zip(copies, u[1:k])]
+        objective = gaussian._full_power_rate(ch)
+        assert outcome(objective, x) == outcome(slow_objective, ch, x)
+
+    @pytest.mark.parametrize("k,x", [
+        (2, [0.0, 1.1]), (3, [0.8, 0.7, 0.0]), (4, [0.5, 0.0, 0.0, 0.9]),
+        (6, [0.1, 0.2, 0.3, 0.4, 0.5, 1.0 + 1e-6])])
+    def test_infeasible_x_raises_on_both_paths(self, k, x):
+        ch = channel(k, 30.0, 1.5, 1.0)
+        x = np.array(x)
+        got = outcome(gaussian._full_power_rate(ch), x)
+        assert got.startswith("PowerConstraintViolated: transmitter ")
+        assert got == outcome(slow_objective, ch, x)
+
+    def test_totals_add_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, twice; a compensated sum, as
+        # sum() of floats is from Python 3.12, gives 1e16 + 2
+        assert gaussian.RateVector((1e16, 1.0, 1.0)).total == 1e16
+
+
 class TestOptimizers:
     @pytest.mark.parametrize("k,snr_db,alpha,phase", [
         (2, 20.0, 1.5, None), (3, 20.0, 1.5, None), (3, 50.0, 2.5, 1.0),
@@ -698,6 +806,24 @@ class TestOptimizers:
         p, inner = gaussian.optimize_inner(ch, budget=500, seed=0)
         outer = gaussian.optimize_outer(ch, budget=500, seed=0, inner_hint=p)
         assert inner - 1e-9 <= outer <= gaussian.outer_sum(ch) + 1e-9
+
+    # The exact results at budget 500, seed 0, before the per-channel and
+    # per-noise terms of both objectives were computed once per call:
+    # three K=3 gauss-optimize points, one with a complex gain, and two
+    # inner-only points.
+    @pytest.mark.parametrize("k,snr_db,alpha,phase,inner,outer", [
+        (3, 50.0, 0.75, None, "34.928776096089855", "35.174684499815115"),
+        (3, 50.0, 2.0, None, "66.43586956003925", "66.43586956007456"),
+        (3, 40.0, 2.0, 2.5, "53.194273288698014", "53.194385540995036"),
+        (4, 50.0, 1.5, None, "73.8916311919209", None),
+        (6, 50.0, 2.5, None, "203.23519862338458", None)])
+    def test_regression_pin(self, k, snr_db, alpha, phase, inner, outer):
+        ch = channel(k, snr_db, alpha, phase)
+        params, val = gaussian.optimize_inner(ch, budget=500, seed=0)
+        assert repr(val) == inner
+        if outer is not None:
+            assert repr(gaussian.optimize_outer(
+                ch, budget=500, seed=0, inner_hint=params)) == outer
 
     def test_outer_below_inner_hint_raises(self, monkeypatch):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
