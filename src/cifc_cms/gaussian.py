@@ -9,10 +9,12 @@ where the interfering gain equals the direct gain exactly (a K-user
 MAC) is selected by exact complex equality: the discontinuity is a
 genuine feature of the channel, not numerical noise.
 
-The optimized 3-user outer bound searches inputs X = l W (W white) over
-the lower-triangular factor l of a complex correlation matrix: the
-bound is nondecreasing in the input covariance, so full power loses
-nothing, and every conditional covariance it needs is a block of l.
+The optimized outer bound is the chain bound sum_l h(Y_l | X_<l, Y_<l)
+minus the noise terms, at inputs X = l W (W white, l the triangular
+factor of a correlation matrix: full power loses nothing).  It is the
+log-diagonal at the Y rows of one triangular factorization of the stack
+V = (Y_1, X_1, ..., Y_K, X_K), for any K; ldc.chain_rank_bound counts
+the pivots at the Y rows of the same stack over GF(2).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass(frozen=True)
@@ -569,6 +570,7 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     The closed-form choices are always among the starts, so the result
     is never below the closed-form inner bound.
     """
+    from scipy.optimize import minimize  # 0.3 s; only the optimizers need it
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = ch.k
@@ -678,48 +680,37 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
 # ---------------------------------------------------------------------------
 
 def _channel_matrix(ch: GaussianSymChannel) -> np.ndarray:
-    hd, hi = ch.hd, ch.hi
-    return np.array([[hd, hi, hi], [hi, hd, hi], [hi, hi, hd]],
-                    dtype=complex)
+    h = np.full((ch.k, ch.k), ch.hi, dtype=complex)
+    np.fill_diagonal(h, ch.hd)
+    return h
 
 
-def _noise_terms(h: np.ndarray, noise: np.ndarray) -> tuple:
-    """The terms of _th1_sum_k3 free of l, for the noise covariance noise."""
-    n, h3 = np.asarray(noise), h[:, 2]
-    return (n[0, 0].real, np.linalg.cholesky(n[:2, :2]),
-            np.vdot(h3, np.linalg.solve(n, h3)).real,
-            np.vdot(h3[:2], np.linalg.solve(n[:2, :2], h3[:2])).real)
+def _chain_bound(h: np.ndarray, noise: np.ndarray):
+    """bound(l): sum_l I(Y_l; X_>=l | X_<l, Y_<l) in bits for channel h,
+    noise covariance noise and inputs X = l W (W white), for a stack
+    (..., K, K) of lower-triangular factors l.
 
-
-def _th1_sum_k3(h: np.ndarray, l: np.ndarray, terms: tuple) -> float:
-    """The 3-user sum bound for channel matrix h, inputs X = l W (l lower
-    triangular, non-zero diagonal, W white) and terms = _noise_terms(h, N).
-
-    Every term is log1p of a non-negative quantity, so the evaluation
-    stays accurate at arbitrary SNR (no large log-det differences).
+    The interleaved stack V = (Y_1, X_1, ..., Y_K, X_K) is A (W, Z') for
+    Z = chol(noise) Z', with Y-rows [h l, chol(noise)] and X-rows
+    [e_l, 0]: X_<=l and W_<=l span the same space, and a zero diagonal
+    entry of l gives the limit from non-singular factors.  In the QR of
+    A^H, |R_ii|^2 is the variance of V_i given V_<i, so the bound is
+    (sum of log|R_ii|^2 at the Y rows - log det noise) / ln 2.
     """
-    n11, chol2, q_full, q_part = terms
+    k = h.shape[0]
+    chol = np.linalg.cholesky(noise)
+    template = np.zeros((2 * k, 2 * k), dtype=complex)
+    template[:k, 1::2] = np.eye(k)
+    template[k:, 0::2] = chol.conj().T
+    log_chol = _add(np.log(np.diagonal(chol).real).tolist())
 
-    # I(Y1; X1 X2 X3) = log(1 + |h1 l|^2 / N11)
-    u = h[0] @ l
-    t1 = math.log1p(np.vdot(u, u).real / n11)
-
-    # I(Y2; X2 X3 | X1, Y1) = logdet(I + W^H W) - log(1 + |a1 l'|^2 / N11)
-    # with l' = l[1:, 1:] and W the whitened map (X2, X3) -> (Y1, Y2);
-    # for 2x2 W, det(I + W^H W) = 1 + |W|_F^2 + |det W|^2.
-    lp = l[1:, 1:]
-    w = np.linalg.solve(chol2, h[:2, 1:] @ lp)
-    det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
-    u1 = h[0, 1:] @ lp
-    t2 = (math.log1p(np.vdot(w, w).real + abs(det_w) ** 2)
-          - math.log1p(np.vdot(u1, u1).real / n11))
-
-    # I(Y3; X3 | X1, Y1, X2, Y2): rank-one update by the conditional
-    # variance |l33|^2 of X3 given (X1, X2).
-    v = abs(l[2, 2]) ** 2
-    t3 = math.log1p(v * q_full) - math.log1p(v * q_part)
-
-    return (t1 + t2 + max(t3, 0.0)) / _LN2
+    def bound(l: np.ndarray) -> np.ndarray:
+        a = np.tile(template, l.shape[:-2] + (1, 1))
+        a[..., :k, 0::2] = np.swapaxes(h @ l, -1, -2).conj()
+        raw = np.linalg.qr(a, mode="raw")[0]  # R's diagonal, no triu copy
+        log_r = np.log(np.abs(np.diagonal(raw, 0, -2, -1)[..., 0::2]))
+        return 2.0 * (_add(log_r[..., i] for i in range(k)) - log_chol) / _LN2
+    return bound
 
 
 def _noise_from_rho(rho: np.ndarray) -> np.ndarray | None:
@@ -765,17 +756,19 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     Gaussian inputs, minimize over real marginal-preserving noise
     correlations (grid plus pattern search).
 
-    Every term is the log-det of a Schur complement of the input
-    covariance, so the maximum over {Sigma >= 0, diag Sigma <= 1} is
-    attained on complex correlation matrices, searched through their
-    factor; warm starts (inner_hint, closed-form DPC) are lifted to unit
-    diagonal, which can only raise the bound.  The maximum at each
-    noise point is a budgeted Nelder-Mead search, not a certificate: a
-    longer search can find more.  The result is capped at outer_sum.
-    Every noise point evaluates the lifted inner_hint, so a result below
-    dpc_rates(ch, inner_hint).total is a bug and raises GapExceeded; an
-    infeasible inner_hint raises PowerConstraintViolated.
+    Each term of the sum bound (_chain_bound: one QR of the interleaved
+    stack) is the log of a conditional variance, a Schur complement of
+    the input covariance, so the maximum over {Sigma >= 0, diag Sigma
+    <= 1} is attained on complex correlation matrices, searched through
+    their factor; warm starts (inner_hint, closed-form DPC) are lifted
+    to unit diagonal, which can only raise the bound.  The maximum at
+    each noise point is a budgeted Nelder-Mead search, not a
+    certificate: a longer search can find more.  The result is capped
+    at outer_sum.  Every noise point evaluates the lifted inner_hint, so
+    a result below dpc_rates(ch, inner_hint).total is a bug and raises
+    GapExceeded; an infeasible inner_hint raises PowerConstraintViolated.
     """
+    from scipy.optimize import minimize
     if ch.k != 3:
         raise ValueError("optimize_outer implemented for k == 3 only")
     if budget < 1:
@@ -793,23 +786,24 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
         sigma_starts.append(input_covariance(prm, 3))
     start_vecs = [_vec_from_sigma(s) for s in sigma_starts]
     start_vecs += [rng.normal(scale=0.5, size=8) for _ in range(2)]
-    start_factors = [_factor_from_vec(x0) for x0 in start_vecs]
+    start_factors = np.array([_factor_from_vec(x0) for x0 in start_vecs])
     h = _channel_matrix(ch)
 
-    def start_values(terms: tuple) -> list[float]:
+    def start_values(bound) -> list[float]:
         """The bound at the start factors, while the budget lasts."""
-        paid = itertools.takewhile(lambda _: budget_ctr.spend(), start_factors)
-        return [_th1_sum_k3(h, l0, terms) for l0 in paid]
+        paid = sum(1 for _ in itertools.takewhile(
+            lambda _: budget_ctr.spend(), start_factors))
+        return bound(start_factors[:paid]).tolist()
 
     def max_over_sigma(noise: np.ndarray, maxfev: int) -> float:
-        terms = _noise_terms(h, noise)
+        bound = _chain_bound(h, noise)
 
         def neg(x: np.ndarray) -> float:
             if not budget_ctr.spend():
                 raise StopIteration
-            return -_th1_sum_k3(h, _factor_from_vec(x), terms)
+            return -bound(_factor_from_vec(x)).item()
 
-        vals = start_values(terms)
+        vals = start_values(bound)
         if len(vals) < len(start_vecs):
             # Budget-starved points are under-maximized; report +inf
             # so the outer min over noise never selects them.
@@ -845,7 +839,7 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
         noise = _noise_from_rho(rho)
         if noise is None:
             continue
-        cheap.append((max(start_values(_noise_terms(h, noise)),
+        cheap.append((max(start_values(_chain_bound(h, noise)),
                           default=-math.inf), rho))
     cheap.sort()
 

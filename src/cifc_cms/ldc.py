@@ -355,36 +355,42 @@ def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",
 
 
 def chain_rank_bound(g: LdcGains) -> int:
-    """sum_l rank[C_l; Y_l] - rank C_l, where C_l stacks X_1..X_{l-1}
-    and Y_1..Y_{l-1} as linear maps of the joint input (X_1, ..., X_K).
+    """The largest sum_l H(Y_l | X_<l, Y_<l) of any joint input, in bits.
 
-    Given C_l, Y_l ranges over a coset of a space of dimension
-    rank[C_l; Y_l] - rank C_l, so H(Y_l | C_l) is at most that many
-    bits and the sum bounds H(Y_1) + H(Y_2 | X_1, Y_1) + ... for every
-    joint input distribution.
+    It bounds the sum rate for any K and any gains.  Under cumulative
+    sharing X_<l is a function of the messages W_<l; Fano's inequality
+    (receiver l also given W_<l and Y_<l^n) and the chain rule give
+        n sum_l R_l <= sum_l I(W_l; Y_<=l^n | W_<l) + n eps_n
+                     = sum_l H(Y_l^n | Y_<l^n, W_<l)
+                    <= sum_l H(Y_l^n | Y_<l^n, X_<l^n),
+    the equality because the sum telescopes and H(Y^n | W) = 0 in a
+    deterministic channel.  Per letter, each term is at most the rank
+    increment below.
+
+    Stack V = (Y_1, X_1, ..., Y_K, X_K) as linear maps of the joint
+    input.  In one triangular factorization of V (row echelon of its
+    transpose) the pivots in block Y_l count rank[C_l; Y_l] - rank C_l,
+    with C_l stacking X_<l and Y_<l.  Given C_l, Y_l ranges over a coset
+    of a space of that dimension, so H(Y_l | C_l) is at most that many
+    bits, and the uniform input attains it (a linear image of a uniform
+    input is uniform on its coset).  gaussian._chain_bound factors the
+    same stack and sums log-variances at the Y rows instead.
     """
     k, m = g.k, g.m
-    known, total = gf2.zeros(0, k * m), 0
+    blocks = []
     for l in range(k):
-        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
-        total += gf2.rank(np.vstack([known, y])) - gf2.rank(known)
-        x = np.eye(m, k * m, l * m, dtype=np.uint8)
-        known = np.vstack([known, y, x])
-    return total
+        blocks += [np.hstack([g.channel_matrix(l, i) for i in range(k)]),
+                   np.eye(m, k * m, l * m, dtype=np.uint8)]
+    pivots = gf2.row_echelon(np.vstack(blocks).T)[1]
+    return sum(1 for c in pivots if c // m % 2 == 0)
 
 
 def outer_bound_dominance_check(g: LdcGains, trials: int = 1000,
                                 seed: int = 0) -> DominanceReport:
     """Certify that no joint input distribution beats the closed-form
-    3-user sum bound, for any gains.
-
-    chain_rank_bound bounds H(Y1) + H(Y2|X1,Y1) + H(Y3|X1,Y1,X2,Y2) for
-    every joint input distribution, and the uniform i.i.d. input
-    attains it (given C_l, a linear image of a uniform input is uniform
-    on its coset), so it is the exact maximum of that sum.
-
-    trials and seed are accepted for compatibility and do not affect
-    the result.
+    3-user sum bound, for any gains: chain_rank_bound is the exact
+    maximum of H(Y1) + H(Y2|X1,Y1) + H(Y3|X1,Y1,X2,Y2).  trials and
+    seed are accepted for compatibility and do not affect the result.
     """
     if g.k != 3:
         raise ValueError("dominance check requires k == 3")

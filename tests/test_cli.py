@@ -3,8 +3,12 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,7 +222,8 @@ class TestGaussianGap:
 
     def test_optimized_outer_below_inner_exits_1(self, tmp_path, monkeypatch,
                                                  capsys):
-        monkeypatch.setattr(cli.gaussian, "_th1_sum_k3", lambda *a: 0.0)
+        monkeypatch.setattr(cli.gaussian, "_chain_bound", lambda h, noise: (
+            lambda l: np.zeros(np.shape(l)[:-2])))
         rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
                        "--alpha", "1.5", "--budget", "1000",
                        "--out", str(tmp_path / "g.csv")])
@@ -612,3 +617,22 @@ def test_csv_reader_equals_comma_split(argv, tmp_path):
     *lines, last = out.read_bytes().decode("ascii").split("\r\n")
     assert last == "" and len(lines) > 1
     assert parsed == [line.split(",") for line in lines]
+
+
+def test_commands_without_optimizer_do_not_import_scipy(tmp_path):
+    # scipy.optimize takes most of the package's import time; only the
+    # optimizers (gaussian-gap --budget) need it
+    script = f"""
+import sys
+from cifc_cms import cli
+assert "scipy" not in sys.modules, "import"
+assert cli.main(["ldc-verify", "--out", {str(tmp_path / "v.csv")!r}]) == 0
+assert cli.main(["gaussian-gap", "--k", "3", "--snr-db", "10,30", "--alpha",
+                 "0.5,2", "--out", {str(tmp_path / "g.csv")!r}]) == 0
+assert "scipy" not in sys.modules, "run"
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

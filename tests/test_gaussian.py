@@ -24,8 +24,8 @@ def phased(snr_db, alpha, phase):
                                        3)
 
 
-# Independent oracle for the 3-user sum bound: the generic log-det route
-# through the full 6x6 joint covariance of (X, Y).
+# Independent oracle for the K-user sum bound: the generic log-det route
+# through the full 2K x 2K joint covariance of (X, Y).
 
 class NonPsdInput(ValueError):
     pass
@@ -60,18 +60,19 @@ def mutual_info_gaussian(cov, a, b, c=()):
             - logdet(c) - logdet(a + b + c)) / math.log(2.0)
 
 
-def th1_sum_k3_joint(ch, sigma_x, noise):
-    """The 3-user sum bound at input covariance sigma_x.  Accurate only
-    at moderate SNR: the log-det differences cancel catastrophically
-    past about 40 dB."""
+def chain_bound_joint(ch, sigma_x, noise):
+    """The K-user sum bound sum_l I(Y_l; X_>=l | X_<l, Y_<l) at input
+    covariance sigma_x, with X at indices 0..K-1 and Y at K..2K-1.
+    Accurate only at moderate SNR: the log-det differences cancel
+    catastrophically past about 40 dB."""
+    k = ch.k
     h = gaussian._channel_matrix(ch)
     hs = h @ sigma_x
     cov = np.block([[sigma_x, hs.conj().T],
                     [hs, h @ sigma_x @ h.conj().T + noise]])
-    t1 = mutual_info_gaussian(cov, [3], [0, 1, 2])
-    t2 = mutual_info_gaussian(cov, [4], [1, 2], [0, 3])
-    t3 = mutual_info_gaussian(cov, [5], [2], [0, 3, 1, 4])
-    return t1 + t2 + t3
+    return sum(mutual_info_gaussian(cov, [k + l], range(l, k),
+                                    [*range(l), *range(k, k + l)])
+               for l in range(k))
 
 
 # Lower-triangular factor vectors for gaussian._factor_from_vec, with the
@@ -525,9 +526,9 @@ class TestMutualInfo:
                 np.array([[1.0, 2.0], [2.0, 1.0]]), [0], [1])
 
 
-# _th1_sum_k3 and _factor_from_vec as they were before the terms that
-# depend only on the channel and the noise moved out (_noise_terms), kept
-# as their bitwise oracle.
+# The hand-derived 3-user sum bound that _chain_bound replaced, and
+# _factor_from_vec as it was before its row norm was hoisted, kept as
+# oracles.
 
 def oracle_th1_sum_k3(ch, l, noise):
     h = gaussian._channel_matrix(ch)
@@ -559,8 +560,7 @@ def oracle_factor_from_vec(x):
 
 def th1(ch, l, noise):
     """The sum bound at channel ch, factor l and noise covariance noise."""
-    h = gaussian._channel_matrix(ch)
-    return gaussian._th1_sum_k3(h, l, gaussian._noise_terms(h, noise))
+    return gaussian._chain_bound(gaussian._channel_matrix(ch), noise)(l).item()
 
 
 # Unconstrained factor vectors as the outer search meets them, with rows
@@ -568,7 +568,6 @@ def th1(ch, l, noise):
 _coord = st.floats(-3.0, 3.0)
 search_vecs = st.tuples(*[_coord] * 8).filter(
     lambda x: max(map(abs, x[:3])) > 1e-3 and max(map(abs, x[3:])) > 1e-3)
-_open_rho = st.floats(-0.9, 0.9, exclude_min=True, exclude_max=True)
 
 
 class TestHoistedTermsMatchOracle:
@@ -579,22 +578,90 @@ class TestHoistedTermsMatchOracle:
         got, want = gaussian._factor_from_vec(x), oracle_factor_from_vec(x)
         assert np.array_equal(got.view(float), want.view(float))
 
-    @given(search_vecs, st.tuples(*[st.floats(0.05, 1.0)] * 3),
-           st.floats(0.0, 60.0), st.floats(0.0, 3.0),
-           st.none() | st.floats(-math.pi, math.pi),
-           st.tuples(_open_rho, _open_rho, _open_rho))
+
+def random_factors(rng, k, size=()):
+    """Lower-triangular factors with unit rows scaled to powers in
+    (0.05, 1), for inputs X = l W."""
+    l = np.tril(rng.normal(size=size + (k, k))
+                + 1j * rng.normal(size=size + (k, k)))
+    l /= np.linalg.norm(l, axis=-1, keepdims=True)
+    return np.sqrt(rng.uniform(0.05, 1.0, size + (k, 1))) * l
+
+
+def toeplitz_noise(k, rho):
+    """Unit-diagonal noise covariance with correlations rho^|i - j|."""
+    i = np.arange(k)
+    return rho ** np.abs(i[:, None] - i[None, :])
+
+
+class TestSumBoundEvaluation:
+    @given(factor_vecs, powers, st.floats(0.0, 80.0), st.floats(0.0, 3.0),
+           st.floats(-math.pi, math.pi),
+           st.tuples(*[st.floats(-0.6, 0.6)] * 3))
     @settings(max_examples=500, deadline=None)
-    def test_bound_bitwise(self, x, power, snr_db, alpha, phase, rho):
+    def test_matches_3x3_oracle(self, x, power, snr_db, alpha, phase, rho):
+        # the QR of the interleaved stack against the hand-derived 3x3
+        # algebra; the two round differently, so not bit for bit.  Both
+        # lose digits as a diagonal entry of l nears 0 at high SNR, so
+        # the diagonal stays above 0.1 here.
         noise = gaussian._noise_from_rho(rho)
         if noise is None:
             return
         ch = channel(3, snr_db, alpha, phase)
         l = gaussian._factor_from_vec(np.array(x))
         for f in (l, np.sqrt(power)[:, None] * l):
-            assert th1(ch, f, noise) == oracle_th1_sum_k3(ch, f, noise)
+            want = oracle_th1_sum_k3(ch, f, noise)
+            assert th1(ch, f, noise) == pytest.approx(want, rel=1e-12)
 
+    def test_singular_factors_match_3x3_oracle(self):
+        # full beamforming lifts to factors with zero diagonal entries,
+        # where X_l is a function of X_<l; the bound there is the limit
+        # from non-singular factors, as in the 3x3 algebra.  Rows [l, 0]
+        # for X would miss by percents (2.938 for 3.000 at 0 dB); the QR
+        # loses digits here at high SNR (8e-12 relative at 60 dB), the
+        # 3x3 algebra does not.
+        beamform = gaussian.DpcParams(
+            alpha=(cmath.rect(1.0, 1.0), 1.0 + 0j, 1.0 + 0j), beta=0j,
+            gamma=(0j, 0j))
+        singular = [np.diag([1.0, 0.0, 1.0]).astype(complex),
+                    np.array([[1, 0, 0], [1j, 0, 0], [0, 0, 1]]) / 2 ** 0.5]
+        for snr_db, alpha in ((0.0, 0.0), (20.0, 1.5), (60.0, 2.5)):
+            ch = phased(snr_db, alpha, 0.4)
+            lifts = [gaussian._factor_from_vec(gaussian._vec_from_sigma(
+                gaussian.input_covariance(p, 3)))
+                for p in (gaussian.closed_form_params(ch), beamform)]
+            for l in lifts + singular:
+                for noise in (np.eye(3), gaussian._noise_from_rho(
+                        (0.3, -0.2, 0.5))):
+                    assert th1(ch, l, noise) == pytest.approx(
+                        oracle_th1_sum_k3(ch, l, noise), rel=1e-10)
 
-class TestSumBoundEvaluation:
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_stack_gives_per_factor_bits(self, k):
+        rng = np.random.default_rng(k)
+        for snr_db in (0.0, 30.0, 80.0):
+            ch = channel(k, snr_db, 1.5, 0.7)
+            bound = gaussian._chain_bound(gaussian._channel_matrix(ch),
+                                          toeplitz_noise(k, -0.4))
+            stack = random_factors(rng, k, (7,))
+            each = [bound(l).item() for l in stack]
+            assert bound(stack).tolist() == each
+            assert bound(stack.reshape(7, 1, k, k)).ravel().tolist() == each
+            assert bound(stack[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_k_general_matches_logdet_route(self, k):
+        rng = np.random.default_rng(20 + k)
+        for snr_db in (0.0, 10.0, 25.0):
+            for alpha in (0.4, 1.3, 2.0):
+                for rho in (0.0, 0.5, -0.3):
+                    ch = channel(k, snr_db, alpha, 2.0)
+                    noise = toeplitz_noise(k, rho)
+                    l = random_factors(rng, k)
+                    assert th1(ch, l, noise) == pytest.approx(
+                        chain_bound_joint(ch, l @ l.conj().T, noise),
+                        abs=1e-6)
+
     def test_stable_matches_logdet_route_at_moderate_snr(self):
         # two independent evaluations of the same three-term bound: the
         # cancellation-free factor form and the generic 6x6 log-det path,
@@ -612,7 +679,7 @@ class TestSumBoundEvaluation:
                         if noise is None:
                             continue
                         a = th1(ch, l, noise)
-                        b = th1_sum_k3_joint(ch, l @ l.conj().T, noise)
+                        b = chain_bound_joint(ch, l @ l.conj().T, noise)
                         assert a == pytest.approx(b, abs=1e-6)
 
     def test_stable_route_survives_extreme_snr(self):
@@ -828,9 +895,37 @@ class TestOptimizers:
     def test_outer_below_inner_hint_raises(self, monkeypatch):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
         p, _ = gaussian.optimize_inner(ch, budget=500, seed=0)
-        monkeypatch.setattr(gaussian, "_th1_sum_k3", lambda *a: 0.0)
+        monkeypatch.setattr(gaussian, "_chain_bound", lambda h, noise: (
+            lambda l: np.zeros(np.shape(l)[:-2])))
         with pytest.raises(gaussian.GapExceeded):
             gaussian.optimize_outer(ch, budget=500, seed=0, inner_hint=p)
+
+    @pytest.mark.parametrize("budget", [1, 300, 343, 500])
+    def test_outer_evaluates_each_paid_factor_once(self, budget,
+                                                   monkeypatch):
+        # the start factors of a noise point go through one stacked call,
+        # and every evaluation is paid for, as when they went one by one
+        spent, evaluated = [], []
+        spend, chain_bound = gaussian._Budget.spend, gaussian._chain_bound
+
+        def counted_spend(self):
+            ok = spend(self)
+            spent.append(ok)
+            return ok
+
+        def counted_bound(h, noise):
+            bound = chain_bound(h, noise)
+
+            def counted(l):
+                evaluated.append(math.prod(np.shape(l)[:-2]))
+                return bound(l)
+            return counted
+
+        monkeypatch.setattr(gaussian._Budget, "spend", counted_spend)
+        monkeypatch.setattr(gaussian, "_chain_bound", counted_bound)
+        ch = phased(30.0, 1.5, 1.0)
+        gaussian.optimize_outer(ch, budget=budget, seed=0)
+        assert sum(evaluated) == sum(spent) == budget
 
     def test_outer_rejects_infeasible_hint(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)

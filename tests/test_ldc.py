@@ -202,6 +202,32 @@ class TestOuterBound3:
             ldc.ldc3_sum_outer(ldc.LdcGains.symmetric(2, 1, 4))
 
 
+def oracle_chain_rank_bound(g):
+    """chain_rank_bound as 2K rank calls: sum_l rank[C_l; Y_l] - rank C_l,
+    with C_l stacking X_<l and Y_<l."""
+    k, m = g.k, g.m
+    known, total = gf2.zeros(0, k * m), 0
+    for l in range(k):
+        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
+        total += gf2.rank(np.vstack([known, y])) - gf2.rank(known)
+        x = np.eye(m, k * m, l * m, dtype=np.uint8)
+        known = np.vstack([known, y, x])
+    return total
+
+
+class TestChainRankBound:
+    def test_pivot_count_matches_rank_increments(self):
+        # K 2-6, largest gains 0-6, and all gains 0 (m = 0) at every K
+        rng = np.random.default_rng(8)
+        for k in range(2, 7):
+            gains = [rng.integers(0, top + 1, size=(k, k))
+                     for top in rng.integers(0, 7, size=60)]
+            for n in gains + [np.zeros((k, k), dtype=int)]:
+                g = ldc.LdcGains.from_matrix(n)
+                assert ldc.chain_rank_bound(g) == \
+                    oracle_chain_rank_bound(g), g.n
+
+
 class TestSymCapacityFormula:
     def test_main_branch(self):
         assert ldc.ldc_k_sym_sum_capacity(4, 2, 3).value == 10
