@@ -1,8 +1,9 @@
 """Batch front end: sweeps over the library modules, CSV artifacts out.
 
-Four subcommands: ldc-verify, ldc-outer, gaussian-gap, gdof-curves.
-Config may come from flags or a plain key=value file (flags win).  Exit
-codes: 0 success, 1 invariant violation on the sweep, 2 config error.
+Four subcommands: ldc-verify, ldc-outer, gaussian-gap, gdof-curves, each
+with the options of one table (OPTIONS).  Config may come from flags or a
+plain key=value file (flags win).  Exit codes: 0 success, 1 invariant
+violation on the sweep, 2 config error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -24,6 +26,8 @@ class ConfigError(Exception):
 
 # Points per range axis; a range is counted before any is built.
 MAX_GRID_POINTS = 1_000_000
+# How far past its stop a range's last point may fall (float steps).
+GRID_STOP_SLACK = 1e-9
 # Users times bit levels, K * max(m, 1), of one deterministic channel,
 # the side of the matrices its schemes and proofs build (256: < 1 s).
 MAX_LDC_SIZE = 256
@@ -41,8 +45,9 @@ def _check_ldc_size(k: int, m: int) -> None:
 def parse_grid(spec: str, integer: bool = False) -> list:
     """Parse 'start:stop:step', a comma list, or a single value.
 
-    Range endpoints are inclusive (up to a 1e-9 tolerance on the stop),
-    and a range may hold at most MAX_GRID_POINTS points.
+    Range endpoints are inclusive (up to GRID_STOP_SLACK past the stop),
+    a range may hold at most MAX_GRID_POINTS points, and every point of
+    an integer range must be integral.
     """
     conv = int if integer else float
     spec = spec.strip()
@@ -61,9 +66,13 @@ def parse_grid(spec: str, integer: bool = False) -> list:
             if n >= MAX_GRID_POINTS:
                 raise ConfigError(f"grid spec {spec!r} has {n + 1} points; "
                                   f"at most {MAX_GRID_POINTS} allowed")
-            vals = [start + i * step for i in range(n + 1)]
-            vals = [v for v in vals if v <= stop + 1e-9]
-            return [conv(round(v, 12)) for v in vals]
+            vals = [round(v, 12) for v in (start + i * step
+                                           for i in range(n + 1))
+                    if v <= stop + GRID_STOP_SLACK]
+            if integer and not all(v.is_integer() for v in vals):
+                raise ConfigError(f"grid spec {spec!r} has non-integral "
+                                  f"points")
+            return [conv(v) for v in vals]
         return [conv(p) for p in spec.split(",") if p.strip() != ""]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
@@ -72,8 +81,8 @@ def parse_grid(spec: str, integer: bool = False) -> list:
 def load_config_file(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -272,9 +281,88 @@ def cmd_gdof_curves(opts) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--out", help="output CSV path")
+def _at_least(lo, parse):
+    """Converter: parse the text, then reject a value, or any value of a
+    grid, below lo."""
+    def convert(text: str):
+        value = parse(text)
+        if min(value if isinstance(value, list) else [value],
+               default=lo) < lo:
+            raise ConfigError(f"must be at least {lo}")
+        return value
+    return convert
+
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOL_WORDS:
+        raise ConfigError("needs 1/0/true/false/yes/no")
+    return _BOOL_WORDS[text.lower()]
+
+
+def _models(text: str) -> list:
+    models = [m.strip() for m in text.split(",") if m.strip()]
+    for m in models:
+        if m not in gdof.MODELS:
+            raise ConfigError(f"unknown model {m!r}")
+    return models
+
+
+# Options shared by several subcommands.
+_SEED = {"seed": ("0", _at_least(0, int), "RNG seed")}
+_GAINS_FILE = {"gains_file": ("", str, "explicit 3x3 gain matrix file")}
+_ALPHA = {"alpha": ("0:3:0.25", parse_grid, "alpha grid")}
+_INT_GRID = partial(parse_grid, integer=True)
+_LDC_GAIN_GRID = ("0:4", _at_least(0, _INT_GRID))
+
+
+def _users(lo: int) -> dict:
+    return {"k": ("3", _at_least(lo, _INT_GRID), "user-count list")}
+
+
+# Each subcommand's summary and options, key -> (default, converter,
+# help).  An option's value is its flag, else its config line, else its
+# default, all text; it passes through the converter once.  Every
+# subcommand also takes --config and --out (_options).
+OPTIONS = {
+    "ldc-verify": ("build deterministic-channel schemes and prove "
+                   "decodability for every message", {
+                       "nd": (*_LDC_GAIN_GRID, "direct-gain grid"),
+                       "ni": (*_LDC_GAIN_GRID, "interfering-gain grid"),
+                       **_users(2), **_GAINS_FILE}),
+    "ldc-outer": ("evaluate the 3-user sum-rate outer bound and certify "
+                  "it by a rank count", {
+                      **_SEED, **_GAINS_FILE,
+                      "samples": ("10", _at_least(0, int),
+                                  "number of random gain matrices"),
+                      "max_gain": ("3", _at_least(0, int),
+                                   "largest random gain")}),
+    "gaussian-gap": ("additive/multiplicative gap certificates over an "
+                     "(SNR, alpha, K) grid", {
+                         **_SEED, **_users(3),
+                         "snr_db": ("20", parse_grid, "SNR list in dB"),
+                         **_ALPHA,
+                         "budget": ("0", _at_least(0, int),
+                                    "numeric-optimization evaluations per "
+                                    "point (0 = analytic only)")}),
+    "gdof-curves": ("gDoF model-comparison curves, optionally with "
+                    "empirical slope fits", {
+                        "models": (",".join(gdof.MODELS), _models,
+                                   "comma list of models"),
+                        **_users(2), **_ALPHA,
+                        "snr_db": ("", parse_grid, "SNR list in dB for the "
+                                   "empirical slope columns"),
+                        "discontinuity": ("false", _bool, "report the "
+                                          "alpha=1 discontinuity value")}),
+}
+
+
+def _options(command: str) -> dict:
+    return {"out": (command.replace("-", "_") + ".csv", str,
+                    "output CSV path"), **OPTIONS[command][1]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,95 +371,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sum-capacity bounds for the cognitive interference "
                     "channel with cumulative message sharing")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ldc-verify",
-                       help="build deterministic-channel schemes and "
-                            "prove decodability for every message")
-    _add_common(p)
-    p.add_argument("--nd", help="direct-gain grid (default 0:4)")
-    p.add_argument("--ni", help="interfering-gain grid (default 0:4)")
-    p.add_argument("--k", help="user-count list (default 3)")
-    p.add_argument("--gains-file", help="explicit 3x3 gain matrix file")
-
-    p = sub.add_parser("ldc-outer",
-                       help="evaluate the 3-user sum-rate outer bound "
-                            "and certify it by a rank count")
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--gains-file", help="explicit 3x3 gain matrix file")
-    p.add_argument("--samples", type=int,
-                   help="number of random gain matrices (default 10)")
-    p.add_argument("--max-gain", type=int,
-                   help="largest random gain (default 3)")
-
-    p = sub.add_parser("gaussian-gap",
-                       help="additive/multiplicative gap certificates "
-                            "over an (SNR, alpha, K) grid")
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--k", help="user-count list (default 3)")
-    p.add_argument("--snr-db", help="SNR list in dB (default 20)")
-    p.add_argument("--alpha", help="alpha grid (default 0:3:0.25)")
-    p.add_argument("--budget", type=int,
-                   help="numeric-optimization evaluations per point "
-                        "(default 0 = analytic only)")
-
-    p = sub.add_parser("gdof-curves",
-                       help="gDoF model-comparison curves, optionally "
-                            "with empirical slope fits")
-    _add_common(p)
-    p.add_argument("--models", help="comma list from cms,ifc,bc")
-    p.add_argument("--k", help="user-count list (default 3)")
-    p.add_argument("--alpha", help="alpha grid (default 0:3:0.25)")
-    p.add_argument("--snr-db",
-                   help="SNR list for the empirical slope columns")
-    p.add_argument("--discontinuity", action="store_true", default=None,
-                   help="report the alpha=1 discontinuity value")
-
+    for command, (summary, _) in OPTIONS.items():
+        p = sub.add_parser(command, help=summary, description=summary)
+        p.add_argument("--config", help="key=value config file; flags "
+                                        "override")
+        for key, (default, convert, text) in _options(command).items():
+            # A boolean flag stands for the config line key=true.
+            flag = ({"action": "store_const", "const": "true"}
+                    if convert is _bool else {})
+            p.add_argument("--" + key.replace("_", "-"), **flag,
+                           help=f"{text} (default: {default or 'none'})")
     return parser
 
 
-_DEFAULTS = {
-    "ldc-verify": {"nd": "0:4", "ni": "0:4", "k": "3", "gains_file": None,
-                   "out": "ldc_verify.csv"},
-    "ldc-outer": {"gains_file": None, "samples": 10, "max_gain": 3,
-                  "seed": 0, "out": "ldc_outer.csv"},
-    "gaussian-gap": {"k": "3", "snr_db": "20", "alpha": "0:3:0.25",
-                     "budget": 0, "seed": 0, "out": "gaussian_gap.csv"},
-    "gdof-curves": {"models": "cms,ifc,bc", "k": "3", "alpha": "0:3:0.25",
-                    "snr_db": None, "discontinuity": False,
-                    "out": "gdof_curves.csv"},
-}
-
-_INT_KEYS = {"seed", "samples", "max_gain", "budget"}
-_BOOL_KEYS = {"discontinuity"}
-_BOOL_WORDS = {"1": True, "true": True, "yes": True,
-               "0": False, "false": False, "no": False}
-
-
 def _merge_config(opts: argparse.Namespace) -> argparse.Namespace:
-    """Layer flag values over config-file values over defaults."""
-    defaults = dict(_DEFAULTS[opts.command])
-    if opts.config:
-        for key, value in load_config_file(opts.config).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for "
-                                  f"{opts.command}")
-            if key in _INT_KEYS:
-                try:
-                    value = int(value)
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key} needs an "
-                                      f"integer, got {value!r}") from exc
-            elif key in _BOOL_KEYS:
-                if value.lower() not in _BOOL_WORDS:
-                    raise ConfigError(f"config key {key} needs 1/0/true/"
-                                      f"false/yes/no, got {value!r}")
-                value = _BOOL_WORDS[value.lower()]
-            defaults[key] = value
-    for key, value in defaults.items():
-        if getattr(opts, key, None) is None:
-            setattr(opts, key, value)
+    """Set each option to its converted flag, config-file or default
+    value, in that order of precedence."""
+    options = _options(opts.command)
+    cfg = load_config_file(opts.config) if opts.config else {}
+    for key in cfg:
+        if key not in options:
+            raise ConfigError(f"unknown config key {key!r} for "
+                              f"{opts.command}")
+    for key, (default, convert, _) in options.items():
+        text = getattr(opts, key)
+        if text is None:
+            text = cfg.get(key, default)
+        try:
+            setattr(opts, key, convert(text))
+        except (ConfigError, ValueError) as exc:
+            raise ConfigError(f"{key.replace('_', '-')} = {text!r}: "
+                              f"{exc}") from exc
     return opts
 
 
@@ -403,64 +433,33 @@ def _check_gaussian_grid(ks: list, snr_db: list, alphas: list) -> None:
 
 
 def _post_process(opts: argparse.Namespace) -> None:
+    """The checks that combine options or bound the work of a run."""
     # Fail before the sweep on a path open() cannot create ('' is '.').
     out = Path(opts.out)
     if out.is_dir() or not out.parent.is_dir():
         raise ConfigError(f"cannot write output CSV {opts.out!r}")
-    if opts.command in ("ldc-outer", "gaussian-gap") and opts.seed < 0:
-        raise ConfigError("seed must be non-negative")
     if opts.command == "ldc-verify":
-        opts.nd = parse_grid(str(opts.nd), integer=True)
-        opts.ni = parse_grid(str(opts.ni), integer=True)
-        opts.k = parse_grid(str(opts.k), integer=True)
-        if any(k < 2 for k in opts.k):
-            raise ConfigError("k must be at least 2")
-        if any(n < 0 for n in opts.nd + opts.ni):
-            raise ConfigError("nd and ni must be non-negative")
         _check_ldc_size(max(opts.k, default=0),
-                       max(opts.nd + opts.ni, default=0))
+                        max(opts.nd + opts.ni, default=0))
     elif opts.command == "ldc-outer":
-        if opts.samples < 0 or opts.max_gain < 0:
-            raise ConfigError("samples and max-gain must be non-negative")
         if opts.samples > MAX_GRID_POINTS:
             raise ConfigError(f"at most {MAX_GRID_POINTS} samples allowed")
         if not opts.gains_file:
             _check_ldc_size(3, opts.max_gain)
-    elif opts.command == "gaussian-gap":
-        opts.k = parse_grid(str(opts.k), integer=True)
-        opts.snr_db = parse_grid(str(opts.snr_db))
-        opts.alpha = parse_grid(str(opts.alpha))
-        if any(k < 3 for k in opts.k):
-            raise ConfigError("the gap certificate needs k of at least 3")
-        if opts.budget < 0:
-            raise ConfigError("budget must be non-negative")
-        _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
-    elif opts.command == "gdof-curves":
-        opts.models = [m.strip() for m in str(opts.models).split(",")
-                       if m.strip()]
-        for m in opts.models:
-            if m not in gdof.MODELS:
-                raise ConfigError(f"unknown model {m!r}")
-        opts.k = parse_grid(str(opts.k), integer=True)
-        opts.alpha = parse_grid(str(opts.alpha))
-        opts.snr_db = (parse_grid(str(opts.snr_db))
-                       if opts.snr_db not in (None, "") else [])
-        if any(k < 2 for k in opts.k):
-            raise ConfigError("k must be at least 2")
-        if not opts.alpha:
-            raise ConfigError("alpha grid must be non-empty")
-        if opts.alpha[0] < 0 or any(
-                b <= a for a, b in zip(opts.alpha, opts.alpha[1:])):
-            raise ConfigError("alpha grid must be non-negative and "
-                              "strictly increasing")
-        if opts.snr_db and len(set(opts.snr_db)) < 2:
-            raise ConfigError("slope fits need at least two distinct "
-                              "snr-db values")
+    else:
+        if opts.command == "gdof-curves":
+            if not opts.alpha or opts.alpha[0] < 0 or any(
+                    b <= a for a, b in zip(opts.alpha, opts.alpha[1:])):
+                raise ConfigError("alpha grid must be non-empty, "
+                                  "non-negative and strictly increasing")
+            if opts.snr_db and len(set(opts.snr_db)) < 2:
+                raise ConfigError("slope fits need at least two distinct "
+                                  "snr-db values")
         _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
 
 
 # Looked up when main runs, so that a wrapper set on cli.cmd_* is called.
-_COMMANDS = {c: "cmd_" + c.replace("-", "_") for c in _DEFAULTS}
+_COMMANDS = {c: "cmd_" + c.replace("-", "_") for c in OPTIONS}
 
 
 def main(argv=None) -> int:

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -43,6 +44,33 @@ class TestParseGrid:
             cli.parse_grid("5:1")
         with pytest.raises(cli.ConfigError):
             cli.parse_grid("a:b")
+        for spec in ("0:1:0.3", "0:2:0.5", "0.5:2"):
+            with pytest.raises(cli.ConfigError, match="non-integral"):
+                cli.parse_grid(spec, integer=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e2), st.integers(0, 500))
+    def test_range_has_n_plus_one_points(self, start, step, n):
+        stop = start + n * step
+        grid = cli.parse_grid(f"{start!r}:{stop!r}:{step!r}")
+        assert len(grid) == n + 1
+        assert grid[0] == round(start, 12)
+        assert abs(grid[-1] - stop) <= cli.GRID_STOP_SLACK
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-100, 100), st.integers(1, 50), st.integers(0, 60),
+           st.sampled_from([1, 2, 3, 4, 10]))
+    def test_integer_range_accepts_exactly_integral_points(self, a, b, n,
+                                                           den):
+        # points (a + i b) / den, i = 0..n: all integral iff den divides
+        # a and, past the first point, b
+        spec = f"{a / den!r}:{(a + n * b) / den!r}:{b / den!r}"
+        if a % den == 0 and (n == 0 or b % den == 0):
+            assert cli.parse_grid(spec, integer=True) == [
+                (a + i * b) // den for i in range(n + 1)]
+        else:
+            with pytest.raises(cli.ConfigError, match="non-integral"):
+                cli.parse_grid(spec, integer=True)
 
 
 class TestConfigFile:
@@ -73,6 +101,16 @@ class TestConfigFile:
         cfg.write_text("bogus=1\n")
         rc = cli.main(["ldc-verify", "--config", str(cfg)])
         assert rc == 2
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00bad=1\n")
+        out = tmp_path / "v.csv"
+        assert cli.main(["ldc-verify", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "config error: cannot read config file" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestLdcVerify:
@@ -320,6 +358,11 @@ class TestGdofCurves:
     ["ldc-verify", "--nd", "0:1e9"],
     ["ldc-outer", "--seed=-1"],
     ["gaussian-gap", "--seed=-1", "--budget", "5"],
+    ["ldc-verify", "--nd", "0:2:0.5", "--ni", "1"],
+    ["ldc-verify", "--nd", "0.5:2"],
+    ["gaussian-gap", "--k", "3:5:0.5"],
+    ["ldc-outer", "--seed", "x"],
+    ["gaussian-gap", "--budget", "1.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
@@ -452,6 +495,55 @@ def test_seed_is_not_an_option_of(command, tmp_path):
     cfg.write_text("seed=1\n")
     assert cli.main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+# One non-default value per option of the table; None marks a boolean
+# flag, whose config line is key=true.
+NON_DEFAULT = {"out": "o.csv", "seed": "7", "gains_file": "g.txt",
+               "nd": "1,2", "ni": "0:2", "k": "3,4", "samples": "5",
+               "max_gain": "2", "snr_db": "10,30", "alpha": "0.5,1.5",
+               "budget": "50", "models": "bc,cms", "discontinuity": None}
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_flag_and_config_line_convert_alike(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setattr(cli, cli._COMMANDS[command],
+                        lambda opts: seen.append(opts) or 0)
+    options = cli._options(command)
+
+    def converted(*args):
+        assert cli.main([command, *args]) == 0
+        opts = seen.pop()
+        return {key: getattr(opts, key) for key in options}
+
+    default = converted()
+    cfg = tmp_path / "run.cfg"
+    for key in options:
+        value = NON_DEFAULT[key]
+        flag = "--" + key.replace("_", "-")
+        cfg.write_text(f"{key}={'true' if value is None else value}\n")
+        by_flag = converted(flag, *([] if value is None else [value]))
+        # repr, so that 50 and 50.0 differ
+        assert repr(by_flag) == repr(converted("--config", str(cfg))), key
+        assert by_flag[key] != default[key], key
+        assert {k: v for k, v in by_flag.items() if k != key} == {
+            k: v for k, v in default.items() if k != key}, key
+
+
+@pytest.mark.parametrize("command", list(cli.OPTIONS))
+def test_help_lists_each_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    # one item per option: "--flag [METAVAR] help (default: value)"
+    items = re.split(r"\s(?=--[a-z])", " ".join(capsys.readouterr().out
+                                                 .split()))
+    for key, (default, _, _) in cli._options(command).items():
+        flag = "--" + key.replace("_", "-") + " "
+        [item] = [i for i in items if i.startswith(flag)]
+        assert item.endswith(f"(default: {default or 'none'})"), item
 
 
 def test_main_runs_the_patched_subcommand(tmp_path, monkeypatch):
