@@ -87,12 +87,6 @@ class GaussianSymChannel:
         return abs(self.hi) ** 2
 
     @property
-    def alpha(self) -> float:
-        if self.snr <= 0:
-            raise ValueError("alpha undefined for zero SNR")
-        return math.log1p(self.inr) / math.log1p(self.snr)
-
-    @property
     def is_mac(self) -> bool:
         """Exact-equality degenerate branch: all outputs equivalent."""
         return self.hi == complex(self.hd)
@@ -151,7 +145,7 @@ class GapCertificate:
     analytic_gap_bound: float
     multiplicative_ratio: float
     outer_branch: str   # "mac" or "general"
-    inner_branch: str   # "coherent" or "successive"
+    inner_branch: str   # "coherent", "successive" or "beamforming"
     outer_mac: float    # MAC-branch value, for boundary inspection
     outer_general: float
 
@@ -336,18 +330,6 @@ class ChannelGrid:
         return cls(ch.k, [ch.hd], [ch.hi])
 
 
-def _first_error(mask: np.ndarray, make) -> tuple | None:
-    idx = np.flatnonzero(mask)
-    return (idx[0], make(idx[0])) if idx.size else None
-
-
-def _raise_first(*errors) -> None:
-    """Raise the (index, error) a point-by-point sweep meets first."""
-    found = [e for e in errors if e is not None]
-    if found:
-        raise min(found, key=lambda e: e[0])[1]
-
-
 def _successive(g: ChannelGrid, at) -> np.ndarray:
     """The successive sum rate at the points at: with gamma = 1, user j
     hears k - j private streams."""
@@ -356,34 +338,23 @@ def _successive(g: ChannelGrid, at) -> np.ndarray:
                 for j in range(1, k)] + [_log2p1_each(hd2)])
 
 
-def _coherent(g: ChannelGrid, at: np.ndarray):
+def _coherent(g: ChannelGrid, at: np.ndarray) -> np.ndarray:
     """The strong-interference closed-form sum rate at the points of the
-    mask at, and the first (index, PowerConstraintViolated) that
-    DpcParams.validate would raise there, or None.  As in dpc_rates,
-    coefficients are sqrts squared and each rate is its own term."""
+    mask at.  As in dpc_rates, coefficients are sqrts squared and each
+    rate is its own term.  _strong_powers puts every transmitter at power
+    1 up to a few ulps, so no power check is needed here."""
     idx = np.flatnonzero(at)
     k, hi2 = g.k, g.hi2[idx]
     gk2, beta2, aj2, ak2 = np.broadcast_arrays(*_strong_powers(k, hi2))
-    a_mid, a_last = np.sqrt(aj2), np.sqrt(ak2)
     b2 = _pow_each(np.sqrt(beta2), 2.0)
     g2 = _pow_each(np.sqrt(gk2), 2.0)
-    limit = 1 + TOL.power_slack
-    used = b2 + _pow_each(a_mid, 2.0)
-    used_k = g2 + (k - 2) * b2 + _pow_each(a_last, 2.0)
-    over = (used > limit) & (k > 2)
-    power = _first_error(over | (used_k > limit), lambda i: (
-        PowerConstraintViolated(
-            f"transmitter 2 power {used[i]:.12f} > 1" if over[i] else
-            f"transmitter {k} power {used_k[i]:.12f} > 1")))
-    if power is not None:
-        power = (idx[power[0]], power[1])
     den = 1.0 + hi2 * g2
-    beam = sum([a_mid] * (k - 2) + [a_last])
+    beam = sum([np.sqrt(aj2)] * (k - 2) + [np.sqrt(ak2)])
     rates = [_log2p1_each(
         _pow_each(np.abs(g.hd[idx] + g.hi_mag[idx] * beam), 2.0) / den)]
     rates += [_log2p1_each(g.zf2[idx] * b2 / den)] * (k - 2)
     rates.append(_log2p1_each(g.hd2[idx] * g2))
-    return sum(rates), power
+    return sum(rates)
 
 
 def closed_form_inner(g: ChannelGrid) -> np.ndarray:
@@ -392,8 +363,7 @@ def closed_form_inner(g: ChannelGrid) -> np.ndarray:
     strong = g.hi2 >= 1.0
     inner = np.empty(strong.shape)
     inner[~strong] = _successive(g, ~strong)
-    inner[strong], power = _coherent(g, strong)
-    _raise_first(power)
+    inner[strong] = _coherent(g, strong)
     return inner
 
 
@@ -410,33 +380,38 @@ def outer_grid(g: ChannelGrid) -> tuple:
 
 def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
     """additive_gap_certificate at every channel, as one GapCertificate
-    of arrays; raises what a point-by-point sweep would raise first."""
+    of arrays; raises what a point-by-point sweep would raise first.
+
+    The inner rate is the best of three achievable closed forms: the
+    coherent DPC choice (the successive one below |hi|^2 = 1), the
+    successive choice and all-beamform.  Ties keep the earlier one."""
     if g.k < 3:
         raise ValueError("certificate stated for k >= 3")
     strong = g.hi2 >= 1.0
     successive = _successive(g, slice(None))
     coherent = successive.copy()
-    coherent[strong], power = _coherent(g, strong)
-    # Below |hi|^2 = 1 both choices are the successive one; ties keep
-    # the coherent label.
-    wins = successive > coherent
-    inner = np.where(wins, successive, coherent)
+    coherent[strong] = _coherent(g, strong)
+    rates = np.stack([coherent, successive, g.beamforming])
+    inner = rates.max(axis=0)
+    branch = np.array(["coherent", "successive", "beamforming"])[
+        rates.argmax(axis=0)]
     outer, mac, general = outer_grid(g)
     gap = outer - inner
     bound = analytic_gap_bound(g.k)
-    over_bound = _first_error(gap > bound + TOL.gap_slack, lambda i: (
-        GapExceeded(f"observed gap {gap[i]:.6f} exceeds analytic bound "
-                    f"{bound:.6f} at hd={float(g.hd[i])}, "
-                    f"hi={complex(g.hi[i])}, k={g.k}")))
-    over_outer = _first_error(inner > outer + TOL.eq, lambda i: GapExceeded(
-        f"inner bound {inner[i]:.6f} exceeds outer bound {outer[i]:.6f}"))
-    _raise_first(power, over_bound, over_outer)
+    over_bound = gap > bound + TOL.gap_slack
+    bad = np.flatnonzero(over_bound | (inner > outer + TOL.eq))
+    if bad.size:
+        i = bad[0]
+        raise GapExceeded(
+            f"observed gap {gap[i]:.6f} exceeds analytic bound {bound:.6f} "
+            f"at hd={float(g.hd[i])}, hi={complex(g.hi[i])}, k={g.k}"
+            if over_bound[i] else
+            f"inner bound {inner[i]:.6f} exceeds outer bound {outer[i]:.6f}")
     bf = g.beamforming
     return GapCertificate(
         inner, outer, gap, bound,
         np.divide(outer, bf, out=np.full(bf.shape, math.nan), where=bf > 0),
-        np.where(g.is_mac, "mac", "general"),
-        np.where(wins, "successive", "coherent"), mac, general)
+        np.where(g.is_mac, "mac", "general"), branch, mac, general)
 
 
 # The scalar API: one-element calls of the kernel.
@@ -453,15 +428,15 @@ def beamforming_inner(ch: GaussianSymChannel) -> float:
 
 def closed_form_sum_rates(ch: GaussianSymChannel) -> tuple[float, float]:
     """(coherent, successive): dpc_rates(ch, p).total for p =
-    closed_form_params(ch) and successive_params(ch), bit for bit, and
-    PowerConstraintViolated where validate would raise it."""
+    closed_form_params(ch) and successive_params(ch), bit for bit."""
     g = ChannelGrid.of(ch)
     return (closed_form_inner(g)[0].item(),
             _successive(g, slice(None))[0].item())
 
 
 def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
-    """Closed-form inner vs. analytic outer, with the Th.-5 bound check."""
+    """Best closed-form inner (coherent DPC, successive or all-beamform)
+    vs. analytic outer, with the Th.-5 bound check."""
     c = gap_certificate_grid(ChannelGrid.of(ch))
     return GapCertificate(*(np.asarray(getattr(c, f.name)).item(0)
                             for f in fields(c)))

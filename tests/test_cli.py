@@ -278,6 +278,17 @@ class TestGaussianGap:
         assert rc == 1
         assert "invariant violation" in capsys.readouterr().err
 
+    def test_low_snr_probe_exits_0(self, tmp_path):
+        # the K = 4 point where the coherent/successive pick broke the gap
+        # bound; all-beamform certifies it
+        out = tmp_path / "g.csv"
+        assert cli.main(["gaussian-gap", "--k", "4", "--snr-db=-20",
+                         "--alpha", "0.042", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["inner_closed"] == "3.165419225203582"
+        assert row["gap_analytic_observed"] == "2.818934768947689"
+
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["gaussian-gap", "--k", "3,4", "--snr-db", "10,30",
                 "--alpha", "0:2:0.5", "--seed", "5"]

@@ -89,7 +89,6 @@ class TestChannel:
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 0.5, 3)
         assert ch.snr == pytest.approx(100.0)
         assert ch.inr == pytest.approx(10.0)
-        assert ch.alpha == pytest.approx(0.5, abs=0.02)
 
     def test_alpha_one_hits_mac_branch_exactly(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(17.3, 1.0, 4)
@@ -232,8 +231,20 @@ class TestClosedFormSumRates:
         ch = gaussian.GaussianSymChannel.from_snr_alpha(30.0, 1.5, k)
         with pytest.raises(gaussian.PowerConstraintViolated):
             gaussian.dpc_rates(ch, gaussian.closed_form_params(ch))
-        with pytest.raises(gaussian.PowerConstraintViolated):
-            gaussian.closed_form_sum_rates(ch)
+
+    @given(st.integers(2, 5) | st.integers(2, 10_000),
+           st.floats(1.0, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_strong_powers_fit_every_transmitter(self, k, hi2):
+        # the kernel's coherent rate runs no power check: the closed-form
+        # coefficients, each a sqrt squared as in DpcParams, put every
+        # transmitter at power 1 up to rounding
+        gk2, beta2, aj2, ak2 = map(float, gaussian._strong_powers(k, hi2))
+        b2, g2 = math.sqrt(beta2) ** 2, math.sqrt(gk2) ** 2
+        limit = 1 + gaussian.TOL.power_slack
+        if k > 2:
+            assert b2 + math.sqrt(aj2) ** 2 <= limit
+        assert g2 + (k - 2) * b2 + math.sqrt(ak2) ** 2 <= limit
 
 
 # The scalar closed forms that gaussian's array kernel replaced, kept as
@@ -304,15 +315,6 @@ def oracle_sum_rates(ch):
     a_mid, a_last = math.sqrt(aj2), math.sqrt(ak2)
     b2 = math.sqrt(beta2) ** 2
     g2 = math.sqrt(gk2) ** 2
-    slack = gaussian.TOL.power_slack
-    used = b2 + a_mid ** 2
-    if k > 2 and used > 1 + slack:
-        raise gaussian.PowerConstraintViolated(
-            f"transmitter 2 power {used:.12f} > 1")
-    used_k = g2 + (k - 2) * b2 + a_last ** 2
-    if used_k > 1 + slack:
-        raise gaussian.PowerConstraintViolated(
-            f"transmitter {k} power {used_k:.12f} > 1")
     den = 1.0 + hi2 * g2
     beam = _sum([complex(a_mid)] * (k - 2) + [complex(a_last)])
     rates = [log1p(abs(hd + hi_mag * beam) ** 2 / den) / _LN2]
@@ -323,12 +325,14 @@ def oracle_sum_rates(ch):
 
 
 def oracle_certificate(ch):
-    """additive_gap_certificate."""
+    """additive_gap_certificate: the best of the three closed forms,
+    the earlier one on ties."""
     coherent, successive = oracle_sum_rates(ch)
-    if successive > coherent:
-        branch, inner = "successive", successive
-    else:
-        branch, inner = "coherent", coherent
+    inner, branch = coherent, "coherent"
+    for name, rate in (("successive", successive),
+                       ("beamforming", oracle_beamforming_inner(ch))):
+        if rate > inner:
+            inner, branch = rate, name
     outer = oracle_outer_sum(ch)
     gap = outer - inner
     bound = gaussian.analytic_gap_bound(ch.k)
@@ -404,30 +408,62 @@ class TestKernelMatchesOracle:
             assert (outcome(gaussian.additive_gap_certificate, chs[0])
                     == outcome(oracle_certificate, chs[0]))
 
-    # At k = 4 the closed forms violate the gap bound at -20 dB and
-    # alpha = 0.042 (|hi|^2 < 1); alpha = 0 there is the one
-    # strong-interference point, whose full powers break a negative slack.
+    # At k = 4 and -20 dB the gaps are 2.078 (alpha = 0.5), 2.819
+    # (0.042) and 2.985 (0), 0 at the MAC point alpha = 1; a negative
+    # slack moves the gap bound to 2.5 bits, so the sweep stops at the
+    # first point past it.
     @pytest.mark.parametrize("alphas,error", [
         ([0.5, 0.042], "GapExceeded"),
         ([0.5, 0.042, 0.0], "GapExceeded"),
-        ([0.0, 0.042], "PowerConstraintViolated")])
+        ([0.0, 0.042], "GapExceeded")])
     def test_raises_as_the_oracle(self, monkeypatch, alphas, error):
-        monkeypatch.setattr(gaussian, "TOL",
-                            gaussian.Tolerances(power_slack=-1e-6))
+        monkeypatch.setattr(gaussian, "TOL", gaussian.Tolerances(
+            gap_slack=2.5 - gaussian.analytic_gap_bound(4)))
         chs = [gaussian.GaussianSymChannel.from_snr_alpha(-20.0, a, 4)
                for a in alphas]
         g = gaussian.ChannelGrid.from_snr_alpha(-20.0, alphas, 4)
         got = outcome(grid_certificates, g)
         assert got.startswith(error)
         assert got == outcome(oracle_certificates, chs)
-        assert (outcome(lambda: gaussian.closed_form_inner(g).tolist())
-                == outcome(lambda: [oracle_sum_rates(ch)[0] for ch in chs]))
 
-    def test_gap_violation_at_default_tolerances(self):
+    # With the gap bound at 2 bits and inner <= outer - 2.5 required, the
+    # MAC point fails only the second check and alpha = 0.5 fails both,
+    # where the gap message comes first.
+    @pytest.mark.parametrize("alphas,message", [
+        ([1.0, 0.5], "GapExceeded: inner bound"),
+        ([0.5, 1.0], "GapExceeded: observed gap")])
+    def test_first_failing_point_names_its_first_check(self, monkeypatch,
+                                                       alphas, message):
+        monkeypatch.setattr(gaussian, "TOL", gaussian.Tolerances(
+            gap_slack=2.0 - gaussian.analytic_gap_bound(4), eq=-2.5))
+        chs = [gaussian.GaussianSymChannel.from_snr_alpha(-20.0, a, 4)
+               for a in alphas]
+        g = gaussian.ChannelGrid.from_snr_alpha(-20.0, alphas, 4)
+        got = outcome(grid_certificates, g)
+        assert got.startswith(message)
+        assert got == outcome(oracle_certificates, chs)
+
+    def test_low_snr_probe_certifies_by_beamforming(self):
+        # the coherent/successive pick alone gave 0.032 bits here and a
+        # gap of 5.952525 over the 5.885390 bound
         ch = gaussian.GaussianSymChannel.from_snr_alpha(-20.0, 0.042, 4)
-        got = outcome(gaussian.additive_gap_certificate, ch)
-        assert got.startswith("GapExceeded: observed gap 5.952525")
-        assert got == outcome(oracle_certificate, ch)
+        cert = gaussian.additive_gap_certificate(ch)
+        assert cert.inner_branch == "beamforming"
+        assert repr(cert.inner) == "3.165419225203582"
+        assert repr(cert.additive_gap) == "2.818934768947689"
+        assert cert == oracle_certificate(ch)
+
+    def test_certificate_holds_from_minus_60_to_100_db(self):
+        # K 3-12, SNR -60..100 dB, alpha 0..4: the best of the three
+        # closed forms stays within the bound (with the pick of two,
+        # K = 4 failed at low SNR and small alpha)
+        snr_db, alpha = np.meshgrid(np.arange(-60.0, 100.5, 2.5),
+                                    np.arange(0.0, 4.01, 0.05))
+        for k in range(3, 13):
+            g = gaussian.ChannelGrid.from_snr_alpha(snr_db.ravel(),
+                                                    alpha.ravel(), k)
+            cert = gaussian.gap_certificate_grid(g)
+            assert cert.additive_gap.max() <= cert.analytic_gap_bound
 
 
 class TestGapCertificate:
@@ -843,6 +879,17 @@ class TestOptimizers:
                 ch, gaussian.closed_form_params(ch)).total
             _, val = gaussian.optimize_inner(ch, budget=800, seed=0)
             assert val >= closed - 1e-9
+
+    @pytest.mark.parametrize("k,snr_db,alpha", [
+        (4, -20.0, 0.042), (3, 10.0, 0.25), (5, 0.0, 0.5), (6, 30.0, 0.5),
+        (3, 30.0, 1.5), (4, 40.0, 2.5), (6, 20.0, 3.0)])
+    def test_inner_never_below_the_certificate(self, k, snr_db, alpha):
+        # the coherent, successive and all-beamform (x = 0) schemes are
+        # among the starts; the full-power rebuild of the coherent one
+        # rounds differently, hence the slack
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
+        _, val = gaussian.optimize_inner(ch, budget=300, seed=0)
+        assert val >= gaussian.additive_gap_certificate(ch).inner - 1e-9
 
     def test_inner_respects_power_constraints(self):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 4)

@@ -16,7 +16,7 @@ PRESET_SHA256 = {
     "ldc-outer":
         "7072fe5724b3ed4097d5eae805e29e7bef50142aeccd4a9e675d83838b9a9176",
     "gaussian-gap":
-        "0e8499f8ce7ffbea97cd6dbe11900ebf08a120111ebb7eb500f8de5b590e0b5e",
+        "143a6e35609655472a2414171549cd1375368a66484cfb686b233971d8babdbd",
     "gdof-curves":
         "6d23205aab25b64374103b56fa87b12ba7766d0badf5e3271042e3ae6ff49bee",
 }
