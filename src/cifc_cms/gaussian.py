@@ -319,7 +319,7 @@ class ChannelGrid:
 
     @classmethod
     def from_snr_alpha(cls, snr_db, alpha, k: int) -> "ChannelGrid":
-        """GaussianSymChannel.from_snr_alpha, broadcasting."""
+        """GaussianSymChannel.from_snr_alpha on 1-D arrays."""
         snr_db, alpha = np.broadcast_arrays(np.asarray(snr_db, float),
                                             np.asarray(alpha, float))
         snr = _pow_each(np.full(snr_db.shape, 10.0), snr_db / 10.0)

@@ -13,6 +13,8 @@ equals that rank count, chain_rank_bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,19 +52,23 @@ class LdcGains:
     def k(self) -> int:
         return len(self.n)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return max(max(row) for row in self.n)
 
     def channel_matrix(self, l: int, i: int) -> np.ndarray:
         return gf2.shift_matrix(self.m, self.m - self.n[l][i])
 
-    def receive(self, l: int, inputs) -> np.ndarray:
-        """Y_l = sum_i H_li inputs[i] over GF(2); each input is an m-row
-        matrix (a stack of input columns or a linear map)."""
-        y = sum(self.channel_matrix(l, i).astype(np.int64)
-                @ np.asarray(x, dtype=np.int64) for i, x in enumerate(inputs))
-        return (y % 2).astype(np.uint8)
+
+def _receive(g: LdcGains, l: int, rows: list[int]) -> list[int]:
+    """Packed rows of Y_l for the K*m packed rows of a stacked (X_1, ...,
+    X_K) matrix: the XOR over i of block i shifted down m - n[l][i] rows."""
+    m = g.m
+    y = [0] * m
+    for i, n in enumerate(g.n[l]):
+        for r, x in enumerate(rows[i * m:i * m + n], m - n):
+            y[r] ^= x
+    return y
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,7 @@ class LdcScheme:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for r in self.rates:
-            out.append(acc)
-            acc += r
-        return tuple(out)
+        return tuple(accumulate(self.rates, initial=0))[:-1]
 
     def message_slice(self, user: int) -> slice:
         off = self.offsets[user]
@@ -211,32 +213,19 @@ def _sym_encoders(nd: int, ni: int, k: int) -> LdcScheme:
     """The one-cognitive-transmitter scheme for nd != ni."""
     m = max(nd, ni)
     t = positive_part(nd - ni)  # bits for the last user
-    rates = tuple([m] * (k - 1) + [t])
     total = (k - 1) * m + t
-
-    # Block selector of the construction: top ni rows pass-through.
-    b_top = gf2.zeros(m, m)
-    ni_eff = min(ni, m)
-    b_top[:ni_eff, :ni_eff] = gf2.identity(ni_eff)
-
-    encoders = []
-    for j in range(k - 1):
-        e = gf2.zeros(m, total)
-        e[:, j * m:(j + 1) * m] = gf2.identity(m)
-        encoders.append(e)
-    e_k = gf2.zeros(m, total)
-    for j in range(k - 1):
-        e_k[:, j * m:(j + 1) * m] = b_top
-    # Message K occupies the bottom t input levels.
-    e_k[ni_eff:ni_eff + t, (k - 1) * m:] = gf2.identity(t)
-    encoders.append(e_k)
-
+    encoders = [np.eye(m, total, j * m, dtype=np.uint8) for j in range(k - 1)]
+    # Transmitter K passes the top ni rows of every other message through
+    # and puts message K on the t input levels below them.
+    b_top = np.diag(np.arange(m) < ni).astype(np.uint8)
+    encoders.append(np.hstack([b_top] * (k - 1)
+                              + [np.eye(m, t, -ni, dtype=np.uint8)]))
     dec_all = gf2.invert(gf2.add(gf2.shift_matrix(m, m - nd),
                                  gf2.shift_matrix(m, m - ni)))
     decoders = [dec_all.copy() for _ in range(k - 1)]
-    decoders.append(dec_all[ni_eff:ni_eff + t, :].copy())
-    return LdcScheme(rates=rates, encoders=tuple(encoders),
-                     decoders=tuple(decoders))
+    decoders.append(dec_all[ni:ni + t].copy())
+    return LdcScheme(rates=tuple([m] * (k - 1) + [t]),
+                     encoders=tuple(encoders), decoders=tuple(decoders))
 
 
 def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
@@ -256,16 +245,10 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
         return _sym_encoders(nd, ni, k)
     # MAC corner: user 1 sends nd bits, everyone else is silent.
     m = nd
-    rates = tuple([m] + [0] * (k - 1))
-    encoders = []
-    for i in range(k):
-        e = gf2.zeros(m, m)
-        if i == 0:
-            e[:, :] = gf2.identity(m)
-        encoders.append(e)
+    encoders = [gf2.identity(m)] + [gf2.zeros(m, m) for _ in range(k - 1)]
     decoders = [gf2.identity(m)] + [gf2.zeros(0, m) for _ in range(k - 1)]
-    return LdcScheme(rates=rates, encoders=tuple(encoders),
-                     decoders=tuple(decoders))
+    return LdcScheme(rates=tuple([m] + [0] * (k - 1)),
+                     encoders=tuple(encoders), decoders=tuple(decoders))
 
 
 def build_chain_scheme(g: LdcGains) -> LdcScheme:
@@ -281,24 +264,30 @@ def build_chain_scheme(g: LdcGains) -> LdcScheme:
     algebra alone reaches the bound: no search.
     """
     k, m = g.k, g.m
-    enc = gf2.zeros(k * m, 0)        # joint input per message bit
-    ker = gf2.identity(k * m)        # directions X_<l, Y_<l cannot see
+    # Packed rows of maps into the stacked (X_1, ..., X_K): enc has a
+    # column per message bit, ker one per direction X_<l, Y_<l cannot see.
+    enc = [0] * (k * m)
+    ker, dim = [1 << k * m - 1 - j for j in range(k * m)], k * m
     rates, decoders = [], []
     for l in range(k):
-        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
-        img = gf2.matmul(y, ker)
-        cols = gf2.row_echelon(img)[1]   # pivots: a basis of the image
-        v = ker[:, cols]
-        d = gf2.solve(img[:, cols].T, gf2.identity(len(cols))).T
+        img = _receive(g, l, ker)
+        cols = gf2._rref_rows(img, dim)[1]   # pivots: a basis of the image
+        r = len(cols)
+        v = gf2._pack(gf2._unpack(ker, dim)[:, cols])
+        b_t = gf2._pack(gf2._unpack(img, dim)[:, cols].T)  # v's images
+        x = gf2._solve_rows(b_t, m, [1 << r - 1 - q for q in range(r)], r)
+        dec = gf2._unpack(x, r).T
+        d = gf2._pack(dec)
         # d is a left inverse of layer l's images, so after this update
-        # d @ y annihilates every earlier layer.
-        enc = gf2.add(enc, gf2.matmul(v, gf2.matmul(d, gf2.matmul(y, enc))))
-        enc = np.hstack([enc, v])
-        rates.append(len(cols))
-        decoders.append(d)
-        if l < k - 1:
-            x_l = ker[l * m:(l + 1) * m]   # X_l on the kernel
-            ker = gf2.matmul(ker, gf2.nullspace(np.vstack([img, x_l])))
+        # d @ Y_l annihilates every earlier layer.
+        upd = gf2._mul_rows(v, gf2._mul_rows(d, _receive(g, l, enc)))
+        enc = [(e ^ u) << r | vi for e, u, vi in zip(enc, upd, v)]
+        rates.append(r)
+        decoders.append(dec)
+        if l < k - 1:                # X_l and Y_l on the kernel
+            null, dim = gf2._nullspace_rows(img + ker[l * m:(l + 1) * m], dim)
+            ker = gf2._mul_rows(ker, null)
+    enc = gf2._unpack(enc, sum(rates))
     return LdcScheme(rates=tuple(rates),
                      encoders=tuple(enc[i * m:(i + 1) * m]
                                     for i in range(k)),
@@ -339,17 +328,18 @@ def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",
         if d.shape != (r, m):
             raise ValueError("decoder dimensions do not match the channel")
 
-    for l in range(g.k):
-        got = gf2.matmul(s.decoders[l], g.receive(l, s.encoders))
-        want = gf2.zeros(s.rates[l], total)
-        want[:, s.message_slice(l)] = gf2.identity(s.rates[l])
-        bad = np.nonzero((got != want).any(axis=0))[0]
-        if bad.size:
-            j = int(bad[0])
+    enc = gf2._pack(np.vstack(s.encoders) & 1)
+    dec = gf2._pack(np.vstack(s.decoders) & 1)
+    for l, off in enumerate(s.offsets):
+        got = gf2._mul_rows(dec[off:off + s.rates[l]], _receive(g, l, enc))
+        lead = max(((row ^ 1 << total - 1 - off - q).bit_length()
+                    for q, row in enumerate(got)), default=0)
+        if lead:                     # the leftmost column decoded wrongly
+            j = total - lead
             msgs = tuple(tuple(int(b == j) for b in
                                range(total)[s.message_slice(u)])
                          for u in range(g.k))
-            cex = (msgs, l, tuple(int(b) for b in got[:, j]))
+            cex = (msgs, l, tuple(row >> total - 1 - j & 1 for row in got))
             return VerificationReport(False, "exhaustive", 1 << total, cex)
     return VerificationReport(True, "exhaustive", 1 << total)
 
@@ -377,11 +367,11 @@ def chain_rank_bound(g: LdcGains) -> int:
     same stack and sums log-variances at the Y rows instead.
     """
     k, m = g.k, g.m
-    blocks = []
+    eye = [1 << k * m - 1 - j for j in range(k * m)]
+    v = []
     for l in range(k):
-        blocks += [np.hstack([g.channel_matrix(l, i) for i in range(k)]),
-                   np.eye(m, k * m, l * m, dtype=np.uint8)]
-    pivots = gf2.row_echelon(np.vstack(blocks).T)[1]
+        v += _receive(g, l, eye) + eye[l * m:(l + 1) * m]
+    pivots = gf2._rref_rows(gf2._pack(gf2._unpack(v, k * m).T), 2 * k * m)[1]
     return sum(1 for c in pivots if c // m % 2 == 0)
 
 

@@ -141,3 +141,107 @@ class TestIdentityPlusShiftFullRank:
             s = gf2.add(gf2.identity(m), gf2.shift_matrix(m, k))
             assert gf2.rank(s) == m
             gf2.invert(s)  # must not raise
+
+
+# Widths around the byte and word edges of the packed rows, 0 included;
+# 512 is chain_rank_bound's 2*K*m at the K*m <= 256 cap.
+EDGE_WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 512]
+EDGE_SHAPES = [(r, c) for r in (0, 1, 8, 9, 65) for c in EDGE_WIDTHS] \
+    + [(256, 512), (512, 65)]
+
+
+def float_matmul(a, b):
+    """GF(2) product through a float64 BLAS product, exact for inner
+    dimensions below 2**53; it builds the large test matrices quickly."""
+    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
+
+
+def random_invertible_lu(n, rng):
+    """Unit lower times unit upper triangular: invertible by
+    construction, without calling the code under test."""
+    lower = np.tril(random_matrix(rng, n, n), -1) | gf2.identity(n)
+    upper = np.triu(random_matrix(rng, n, n), 1) | gf2.identity(n)
+    return float_matmul(lower, upper)
+
+
+def random_of_rank(rng, rows, cols, r):
+    """P diag(1, ..., 1, 0, ..., 0) Q with r ones: rank exactly r."""
+    d = np.eye(rows, cols, dtype=np.uint8)
+    d[r:] = 0
+    return float_matmul(float_matmul(random_invertible_lu(rows, rng), d),
+                        random_invertible_lu(cols, rng))
+
+
+class TestPackingEdges:
+    @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
+    def test_rank_of_constructed_matrices(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        for r in sorted({0, min(rows, cols) // 2, min(rows, cols)}):
+            a = random_of_rank(rng, rows, cols, r)
+            assert gf2.rank(a) == gf2.rank(a.T) == r
+
+    @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
+    def test_row_echelon_is_reduced_and_spans_the_rows(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols + 1)
+        a = random_of_rank(rng, rows, cols, min(rows, cols) * 2 // 3)
+        r, pivots = gf2.row_echelon(a)
+        k = len(pivots)
+        assert r.shape == a.shape and r.dtype == np.uint8
+        assert pivots == sorted(set(pivots))
+        assert not r[k:].any()
+        for i, p in enumerate(pivots):
+            assert not r[i, :p].any() and r[i, p] == 1
+        assert np.array_equal(r[:k][:, pivots], gf2.identity(k))
+        # every row of a is its pivot entries times R's rows, and R's
+        # rows are combinations of a's rows
+        assert np.array_equal(float_matmul(a[:, pivots], r[:k]), a)
+        assert gf2.solve(a.T, r[:k].T) is not None
+
+    @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
+    def test_solve_and_nullspace_identities(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols + 2)
+        a = random_of_rank(rng, rows, cols, min(rows, cols) // 2)
+        rank = gf2.rank(a)
+        b = float_matmul(a, random_matrix(rng, cols, 3))
+        x = gf2.solve(a, b)
+        assert x.shape == (cols, 3)
+        assert np.array_equal(float_matmul(a, x), b)
+        pivots = gf2.row_echelon(a)[1]
+        free = [c for c in range(cols) if c not in pivots]
+        assert not x[free].any()     # free variables are zero
+        ker = gf2.nullspace(a)
+        assert ker.shape == (cols, cols - rank)
+        assert not float_matmul(a, ker).any()
+        assert gf2.rank(ker) == cols - rank
+
+    @pytest.mark.parametrize("rows,cols", [(9, 8), (65, 64), (512, 65)])
+    def test_inconsistent_system(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        p = random_invertible_lu(rows, rng)
+        d = np.eye(rows, cols, dtype=np.uint8)
+        a = float_matmul(p, d)       # column space: p's first cols columns
+        assert gf2.solve(a, p[:, -1:]) is None
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 256])
+    def test_invert_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        m = random_invertible_lu(n, rng)
+        inv = gf2.invert(m)
+        assert inv.shape == (n, n) and inv.dtype == np.uint8
+        assert np.array_equal(float_matmul(m, inv), gf2.identity(n))
+        assert np.array_equal(float_matmul(inv, m), gf2.identity(n))
+        if n:
+            with pytest.raises(gf2.SingularMatrixError):
+                gf2.invert(random_of_rank(rng, n, n, n - 1))
+
+    def test_empty_matrices(self):
+        for rows, cols in [(0, 0), (0, 5), (5, 0), (0, 64)]:
+            a = gf2.zeros(rows, cols)
+            r, pivots = gf2.row_echelon(a)
+            assert r.shape == (rows, cols) and pivots == []
+            assert gf2.rank(a) == 0
+            assert np.array_equal(gf2.nullspace(a), gf2.identity(cols))
+            assert np.array_equal(gf2.solve(a, gf2.zeros(rows, 2)),
+                                  gf2.zeros(cols, 2))
+        assert gf2.invert(gf2.identity(0)).shape == (0, 0)
+        assert gf2.solve(gf2.zeros(2, 0), gf2.identity(2)) is None
