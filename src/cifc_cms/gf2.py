@@ -1,11 +1,14 @@
-"""Dense GF(2) linear algebra.
+"""Dense GF(2) linear algebra on packed rows.
 
-The public functions take and return uint8 arrays: matrices are 2-D with
-entries in {0, 1}, vectors 1-D.  Inside, each matrix row is packed into
-one Python int, column 0 in the top bit, so a row operation is one XOR;
-ldc runs its algebra on such packed rows from start to finish.
-Bit index 1 is the most significant position and maps to array row 0,
-so the shift matrix pushes bits toward larger indices (down the vector)
+A matrix is a list of Python ints, one per row, column 0 in the top
+bit, and its width (column count) travels beside it; a row operation
+is one XOR.  ldc runs its algebra in this form from start to finish.
+pack and unpack convert from and to uint8 {0, 1} arrays.
+
+Three functions take uint8 arrays instead: shift_matrix defines the
+channel's S^k, and matmul and rank serve as reference oracles.  Bit
+index 1 is the most significant position and maps to array row 0, so
+the shift matrix pushes bits toward larger indices (down the vector)
 and discards anything shifted past the last position.
 
 All functions are pure; inputs are never mutated.
@@ -16,29 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class SingularMatrixError(ValueError):
-    """Raised when inverting a rank-deficient matrix."""
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.uint8)
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.uint8)
-
-
-def as_bits(m) -> np.ndarray:
-    """Validate and convert to a uint8 {0,1} matrix."""
-    a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    a = a.astype(np.uint8)
-    if a.size and a.max() > 1:
-        raise ValueError("entries must be in {0, 1}")
-    return a
-
-
 def shift_matrix(m: int, k: int) -> np.ndarray:
     """The m x m down-shift matrix S^k.
 
@@ -47,8 +27,6 @@ def shift_matrix(m: int, k: int) -> np.ndarray:
     """
     if m < 0 or k < 0:
         raise ValueError("dimension and shift must be non-negative")
-    if k >= m:
-        return zeros(m, m)
     return np.eye(m, k=-k, dtype=np.uint8)
 
 
@@ -60,31 +38,44 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a.astype(np.int64) @ b.astype(np.int64)) % 2).astype(np.uint8)
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry-wise sum (XOR) over GF(2)."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.bitwise_xor(a, b)
+def rank(m: np.ndarray) -> int:
+    """GF(2) rank of a 2-D array with entries in {0, 1}."""
+    return len(rref(pack(m), m.shape[1])[1])
 
 
-def _pack(a: np.ndarray) -> list[int]:
-    """The rows of a {0,1} matrix as ints, column 0 in the top bit."""
+def pack(a: np.ndarray) -> list[int]:
+    """The rows of a 2-D {0,1} array as ints, column 0 in the top bit."""
     nbytes, pad = -(-a.shape[1] // 8), -a.shape[1] % 8
     data = np.packbits(a, axis=1).tobytes()
     return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big") >> pad
             for i in range(a.shape[0])]
 
 
-def _unpack(rows: list[int], width: int) -> np.ndarray:
-    """Inverse of _pack: a len(rows) x width uint8 matrix."""
+def unpack(rows: list[int], width: int) -> np.ndarray:
+    """Inverse of pack: a len(rows) x width uint8 array."""
     nbytes, pad = -(-width // 8), -width % 8
     data = b"".join([(r << pad).to_bytes(nbytes, "big") for r in rows])
     return np.unpackbits(np.frombuffer(data, np.uint8).reshape(
         len(rows), nbytes), axis=1, count=width)
 
 
-def _mul_rows(a: list[int], b: list[int]) -> list[int]:
-    """Packed rows of the product a @ b; a's rows are len(b) bits wide."""
+def eye(n: int) -> list[int]:
+    """The n x n identity."""
+    return [1 << n - 1 - j for j in range(n)]
+
+
+def columns(rows: list[int], width: int, cols: list[int]) -> list[int]:
+    """The columns cols of a matrix width bits wide, in that order."""
+    return pack(unpack(rows, width)[:, cols])
+
+
+def transpose(rows: list[int], width: int) -> list[int]:
+    """The transpose: width rows, each len(rows) bits wide."""
+    return pack(unpack(rows, width).T)
+
+
+def mul(a: list[int], b: list[int]) -> list[int]:
+    """The product a @ b; a's rows are len(b) bits wide."""
     top, out = len(b) - 1, []
     for r in a:
         acc = 0
@@ -96,9 +87,10 @@ def _mul_rows(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _rref_rows(rows, width: int) -> tuple[list[int], list[int]]:
-    """The nonzero rows of the reduced row echelon form of packed rows,
-    top down, and their pivot columns; both are unique."""
+def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
+    """The nonzero rows of the reduced row echelon form, top down, and
+    their pivot columns; both are unique, and the pivot count is the
+    rank."""
     lead: dict[int, int] = {}    # leading bit -> row with that leading bit
     for r in rows:
         while r:
@@ -121,10 +113,11 @@ def _rref_rows(rows, width: int) -> tuple[list[int], list[int]]:
     return [lead[p] for p in bits], [width - 1 - p for p in bits]
 
 
-def _solve_rows(a: list[int], n: int, b: list[int],
-                p: int) -> list[int] | None:
-    """solve on packed rows: a is n bits wide, b and the result p."""
-    rows, pivots = _rref_rows([ra << p | rb for ra, rb in zip(a, b)], n + p)
+def solve(a: list[int], n: int, b: list[int], p: int) -> list[int] | None:
+    """A solution x (n rows, p bits wide) of a @ x == b, where a is n
+    bits wide and b p bits wide, with the free variables set to zero;
+    None when the system is inconsistent."""
+    rows, pivots = rref([ra << p | rb for ra, rb in zip(a, b)], n + p)
     if pivots and pivots[-1] >= n:
         return None
     x = [0] * n
@@ -133,58 +126,13 @@ def _solve_rows(a: list[int], n: int, b: list[int],
     return x
 
 
-def _nullspace_rows(a: list[int], n: int) -> tuple[list[int], int]:
-    """nullspace on packed rows n bits wide: (basis rows, basis size)."""
-    rows, pivots = _rref_rows(a, n)
-    full = [1 << n - 1 - c for c in range(n)]
+def nullspace(a: list[int], n: int) -> tuple[list[int], int]:
+    """A basis of the kernel of a (n bits wide) as the columns of an
+    n-row matrix: (its rows, its width, which is the kernel's
+    dimension)."""
+    rows, pivots = rref(a, n)
+    full = eye(n)
     for r, c in zip(rows, pivots):
         full[c] = r              # basis row c: RREF row or e_c, at free cols
     free = sorted(set(range(n)).difference(pivots))
-    return _pack(_unpack(full, n)[:, free]), len(free)
-
-
-def row_echelon(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form (R, pivot_cols), zero rows at the bottom;
-    len(pivot_cols) is the GF(2) rank."""
-    a = as_bits(m)
-    rows, pivots = _rref_rows(_pack(a), a.shape[1])
-    return _unpack(rows + [0] * (a.shape[0] - len(rows)), a.shape[1]), pivots
-
-
-def rank(m: np.ndarray) -> int:
-    """GF(2) rank via Gaussian elimination."""
-    return len(row_echelon(m)[1])
-
-
-def invert(m: np.ndarray) -> np.ndarray:
-    """GF(2) inverse of a square full-rank matrix.
-
-    Raises SingularMatrixError when rank < dimension.
-    """
-    a = as_bits(m)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix is not square: {a.shape}")
-    x = _solve_rows(_pack(a), n, [1 << n - 1 - i for i in range(n)], n)
-    if x is None:
-        raise SingularMatrixError(f"matrix of rank {rank(a)} < {n} is not invertible")
-    return _unpack(x, n)
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve a @ x == b over GF(2); free variables are set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    a = as_bits(a)
-    b = as_bits(b)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    x = _solve_rows(_pack(a), a.shape[1], _pack(b), b.shape[1])
-    return None if x is None else _unpack(x, b.shape[1])
-
-
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Basis of the kernel of a, returned as columns."""
-    a = as_bits(a)
-    return _unpack(*_nullspace_rows(_pack(a), a.shape[1]))
+    return columns(full, n, free), len(free)

@@ -12,6 +12,7 @@ equals that rank count, chain_rank_bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -40,7 +41,13 @@ class LdcGains:
 
     @classmethod
     def from_matrix(cls, rows) -> "LdcGains":
-        return cls(tuple(tuple(int(v) for v in r) for r in rows))
+        """Gains from nested rows of ints or numpy integers; any other
+        entry (a float, a string) raises, it is never rounded."""
+        try:
+            return cls(tuple(tuple(operator.index(v) for v in r)
+                             for r in rows))
+        except TypeError:
+            raise ValueError("gains must be non-negative integers") from None
 
     @classmethod
     def symmetric(cls, nd: int, ni: int, k: int) -> "LdcGains":
@@ -220,8 +227,10 @@ def _sym_encoders(nd: int, ni: int, k: int) -> LdcScheme:
     b_top = np.diag(np.arange(m) < ni).astype(np.uint8)
     encoders.append(np.hstack([b_top] * (k - 1)
                               + [np.eye(m, t, -ni, dtype=np.uint8)]))
-    dec_all = gf2.invert(gf2.add(gf2.shift_matrix(m, m - nd),
-                                 gf2.shift_matrix(m, m - ni)))
+    # Every receiver sees (I + S^c) times the bits it decodes, with
+    # c = |nd - ni| >= 1.  S^c is nilpotent, so the inverse is the
+    # finite geometric series: the sum of S^jc over jc < m.
+    dec_all = sum(gf2.shift_matrix(m, j) for j in range(0, m, abs(nd - ni)))
     decoders = [dec_all.copy() for _ in range(k - 1)]
     decoders.append(dec_all[ni:ni + t].copy())
     return LdcScheme(rates=tuple([m] * (k - 1) + [t]),
@@ -245,8 +254,10 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
         return _sym_encoders(nd, ni, k)
     # MAC corner: user 1 sends nd bits, everyone else is silent.
     m = nd
-    encoders = [gf2.identity(m)] + [gf2.zeros(m, m) for _ in range(k - 1)]
-    decoders = [gf2.identity(m)] + [gf2.zeros(0, m) for _ in range(k - 1)]
+    encoders = ([np.eye(m, dtype=np.uint8)]
+                + [np.zeros((m, m), np.uint8) for _ in range(k - 1)])
+    decoders = ([np.eye(m, dtype=np.uint8)]
+                + [np.zeros((0, m), np.uint8) for _ in range(k - 1)])
     return LdcScheme(rates=tuple([m] + [0] * (k - 1)),
                      encoders=tuple(encoders), decoders=tuple(decoders))
 
@@ -267,27 +278,25 @@ def build_chain_scheme(g: LdcGains) -> LdcScheme:
     # Packed rows of maps into the stacked (X_1, ..., X_K): enc has a
     # column per message bit, ker one per direction X_<l, Y_<l cannot see.
     enc = [0] * (k * m)
-    ker, dim = [1 << k * m - 1 - j for j in range(k * m)], k * m
+    ker, dim = gf2.eye(k * m), k * m
     rates, decoders = [], []
     for l in range(k):
         img = _receive(g, l, ker)
-        cols = gf2._rref_rows(img, dim)[1]   # pivots: a basis of the image
+        cols = gf2.rref(img, dim)[1]   # pivots: a basis of the image
         r = len(cols)
-        v = gf2._pack(gf2._unpack(ker, dim)[:, cols])
-        b_t = gf2._pack(gf2._unpack(img, dim)[:, cols].T)  # v's images
-        x = gf2._solve_rows(b_t, m, [1 << r - 1 - q for q in range(r)], r)
-        dec = gf2._unpack(x, r).T
-        d = gf2._pack(dec)
+        v = gf2.columns(ker, dim, cols)
+        b_t = gf2.transpose(_receive(g, l, v), r)   # v's images
+        d = gf2.transpose(gf2.solve(b_t, m, gf2.eye(r), r), r)
         # d is a left inverse of layer l's images, so after this update
         # d @ Y_l annihilates every earlier layer.
-        upd = gf2._mul_rows(v, gf2._mul_rows(d, _receive(g, l, enc)))
+        upd = gf2.mul(v, gf2.mul(d, _receive(g, l, enc)))
         enc = [(e ^ u) << r | vi for e, u, vi in zip(enc, upd, v)]
         rates.append(r)
-        decoders.append(dec)
+        decoders.append(gf2.unpack(d, m))
         if l < k - 1:                # X_l and Y_l on the kernel
-            null, dim = gf2._nullspace_rows(img + ker[l * m:(l + 1) * m], dim)
-            ker = gf2._mul_rows(ker, null)
-    enc = gf2._unpack(enc, sum(rates))
+            null, dim = gf2.nullspace(img + ker[l * m:(l + 1) * m], dim)
+            ker = gf2.mul(ker, null)
+    enc = gf2.unpack(enc, sum(rates))
     return LdcScheme(rates=tuple(rates),
                      encoders=tuple(enc[i * m:(i + 1) * m]
                                     for i in range(k)),
@@ -328,10 +337,10 @@ def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",
         if d.shape != (r, m):
             raise ValueError("decoder dimensions do not match the channel")
 
-    enc = gf2._pack(np.vstack(s.encoders) & 1)
-    dec = gf2._pack(np.vstack(s.decoders) & 1)
+    enc = gf2.pack(np.vstack(s.encoders) & 1)
+    dec = gf2.pack(np.vstack(s.decoders) & 1)
     for l, off in enumerate(s.offsets):
-        got = gf2._mul_rows(dec[off:off + s.rates[l]], _receive(g, l, enc))
+        got = gf2.mul(dec[off:off + s.rates[l]], _receive(g, l, enc))
         lead = max(((row ^ 1 << total - 1 - off - q).bit_length()
                     for q, row in enumerate(got)), default=0)
         if lead:                     # the leftmost column decoded wrongly
@@ -367,11 +376,11 @@ def chain_rank_bound(g: LdcGains) -> int:
     same stack and sums log-variances at the Y rows instead.
     """
     k, m = g.k, g.m
-    eye = [1 << k * m - 1 - j for j in range(k * m)]
+    eye = gf2.eye(k * m)
     v = []
     for l in range(k):
         v += _receive(g, l, eye) + eye[l * m:(l + 1) * m]
-    pivots = gf2._rref_rows(gf2._pack(gf2._unpack(v, k * m).T), 2 * k * m)[1]
+    pivots = gf2.rref(gf2.transpose(v, k * m), 2 * k * m)[1]
     return sum(1 for c in pivots if c // m % 2 == 0)
 
 

@@ -138,7 +138,7 @@ def unit_counterexample(g, s):
     """verify_scheme's counterexample by simulation: every unit message
     e_j through the channel, receivers in order, then columns left to
     right; the first one decoded wrongly, or None."""
-    w = gf2.identity(s.total_bits)
+    w = np.eye(s.total_bits, dtype=np.uint8)
     for l, got in enumerate(decode_all(g, s, w)):
         bad = np.nonzero((got != w[s.message_slice(l)]).any(axis=0))[0]
         if bad.size:
@@ -237,6 +237,19 @@ class TestGains:
         with pytest.raises(ValueError):
             ldc.LdcGains.symmetric(2, 1, 0)
 
+    @pytest.mark.parametrize("rows", [[[2.7, 0], [0, 1]], [[2.0, 0], [0, 1]],
+                                      [[-0.5, 1], [1, 1]], [["3"]],
+                                      [[np.float64(1.0)]], [[-1]]])
+    def test_from_matrix_rejects_non_integer_gains(self, rows):
+        # entries are never rounded: the constructor's error, not int()
+        with pytest.raises(ValueError, match="non-negative integers"):
+            ldc.LdcGains.from_matrix(rows)
+
+    def test_from_matrix_takes_numpy_integers(self):
+        g = ldc.LdcGains.from_matrix(np.array([[3, 1], [np.uint8(0), 2]]))
+        assert g.n == ((3, 1), (0, 2))
+        assert all(type(v) is int for row in g.n for v in row)
+
 
 class TestOuterBound3:
     def test_breakdown_terms(self):
@@ -273,7 +286,7 @@ def oracle_chain_rank_bound(g):
     """chain_rank_bound as 2K rank calls: sum_l rank[C_l; Y_l] - rank C_l,
     with C_l stacking X_<l and Y_<l."""
     k, m = g.k, g.m
-    known, total = gf2.zeros(0, k * m), 0
+    known, total = np.zeros((0, k * m), np.uint8), 0
     for l in range(k):
         y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
         total += gf2.rank(np.vstack([known, y])) - gf2.rank(known)
@@ -514,8 +527,9 @@ class TestVerifyScheme:
                 checked += 1
                 assert report.counterexample[1] == cex[1], g.n
                 assert_real_counterexample(g, broken, report.counterexample)
-                got = decode_all(g, broken, gf2.identity(s.total_bits))
-                want = gf2.identity(s.total_bits)[s.message_slice(cex[1])]
+                w = np.eye(s.total_bits, dtype=np.uint8)
+                got = decode_all(g, broken, w)
+                want = w[s.message_slice(cex[1])]
                 if np.count_nonzero((got[cex[1]] != want).any(axis=0)) == 1:
                     assert report.counterexample == cex, g.n
 
