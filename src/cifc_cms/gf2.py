@@ -1,15 +1,15 @@
-"""Dense GF(2) linear algebra on packed rows.
+"""Dense GF(2) linear algebra on Python ints.
 
-A matrix is a list of Python ints, one per row, column 0 in the top
-bit, and its width (column count) travels beside it; a row operation
-is one XOR.  ldc runs its algebra in this form from start to finish.
-pack and unpack convert from and to uint8 {0, 1} arrays.
-
-Three functions take uint8 arrays instead: shift_matrix defines the
-channel's S^k, and matmul and rank serve as reference oracles.  Bit
-index 1 is the most significant position and maps to array row 0, so
-the shift matrix pushes bits toward larger indices (down the vector)
-and discards anything shifted past the last position.
+A matrix is a list of ints, its other dimension beside it: packed rows
+(column 0 in the top bit) or vectors as columns (row 0 in the top bit),
+so a row or column operation is one XOR.  rref and solve take rows,
+independent takes columns, and mul takes either: a @ b on rows, or the
+columns of A @ B from those of B and A as a and b.  pack and unpack
+convert rows from and to uint8 {0, 1} arrays; shift_matrix returns the
+channel's S^k as one.  Bit index 1 is the most significant position
+and maps to array row 0, so the shift matrix pushes bits toward larger
+indices (down the vector) and discards anything shifted past the last
+position.
 
 All functions are pure; inputs are never mutated.
 """
@@ -28,19 +28,6 @@ def shift_matrix(m: int, k: int) -> np.ndarray:
     if m < 0 or k < 0:
         raise ValueError("dimension and shift must be non-negative")
     return np.eye(m, k=-k, dtype=np.uint8)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    # int64 accumulation: uint8 would overflow past 255 summands.
-    return ((a.astype(np.int64) @ b.astype(np.int64)) % 2).astype(np.uint8)
-
-
-def rank(m: np.ndarray) -> int:
-    """GF(2) rank of a 2-D array with entries in {0, 1}."""
-    return len(rref(pack(m), m.shape[1])[1])
 
 
 def pack(a: np.ndarray) -> list[int]:
@@ -62,16 +49,6 @@ def unpack(rows: list[int], width: int) -> np.ndarray:
 def eye(n: int) -> list[int]:
     """The n x n identity."""
     return [1 << n - 1 - j for j in range(n)]
-
-
-def columns(rows: list[int], width: int, cols: list[int]) -> list[int]:
-    """The columns cols of a matrix width bits wide, in that order."""
-    return pack(unpack(rows, width)[:, cols])
-
-
-def transpose(rows: list[int], width: int) -> list[int]:
-    """The transpose: width rows, each len(rows) bits wide."""
-    return pack(unpack(rows, width).T)
 
 
 def mul(a: list[int], b: list[int]) -> list[int]:
@@ -126,13 +103,28 @@ def solve(a: list[int], n: int, b: list[int], p: int) -> list[int] | None:
     return x
 
 
-def nullspace(a: list[int], n: int) -> tuple[list[int], int]:
-    """A basis of the kernel of a (n bits wide) as the columns of an
-    n-row matrix: (its rows, its width, which is the kernel's
-    dimension)."""
-    rows, pivots = rref(a, n)
-    full = eye(n)
-    for r, c in zip(rows, pivots):
-        full[c] = r              # basis row c: RREF row or e_c, at free cols
-    free = sorted(set(range(n)).difference(pivots))
-    return columns(full, n, free), len(free)
+def independent(vectors: list[int], tags: list[int] | None = None
+                ) -> tuple[list[int], list[int]]:
+    """Greedy elimination of columns in order: the indices of the vectors
+    independent of all before them (rref's pivots), and for each other
+    vector its tag XORed with the tags of the earlier ones it is the sum
+    of.  That sum is unique, so tags eye(len(vectors)) give rref's
+    kernel basis.  tags default to 0."""
+    tags = tags or [0] * len(vectors)
+    w = max(map(int.bit_length, tags), default=0)
+    low = (1 << w) - 1           # the tag rides below the vector
+    lead: dict[int, int] = {}    # leading bit -> vector with that leading bit
+    found, dependent = [], []
+    for j, (v, t) in enumerate(zip(vectors, tags)):
+        x = v << w | t
+        while x > low:
+            top = x.bit_length() - 1
+            b = lead.get(top)
+            if b is None:
+                lead[top] = x
+                found.append(j)
+                break
+            x ^= b
+        else:
+            dependent.append(x)
+    return found, dependent

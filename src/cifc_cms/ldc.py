@@ -78,6 +78,19 @@ def _receive(g: LdcGains, l: int, rows: list[int]) -> list[int]:
     return y
 
 
+def _images(g: LdcGains, l: int, cols: list[int]) -> list[int]:
+    """Y_l of each column over the stacked (X_1, ..., X_K), X_1 on top."""
+    k, m = g.k, g.m
+    sm = [((k - i) * m - n, (1 << n) - 1) for i, n in enumerate(g.n[l]) if n]
+    out = []
+    for c in cols:
+        y = 0
+        for s, mask in sm:
+            y ^= c >> s & mask
+        out.append(y)
+    return out
+
+
 @dataclass(frozen=True)
 class SumRateBound:
     """Sum-rate bound with its per-term breakdown."""
@@ -275,31 +288,27 @@ def build_chain_scheme(g: LdcGains) -> LdcScheme:
     algebra alone reaches the bound: no search.
     """
     k, m = g.k, g.m
-    # Packed rows of maps into the stacked (X_1, ..., X_K): enc has a
-    # column per message bit, ker one per direction X_<l, Y_<l cannot see.
-    enc = [0] * (k * m)
-    ker, dim = gf2.eye(k * m), k * m
-    rates, decoders = [], []
+    # Columns over the stacked (X_1, ..., X_K): enc holds one per message
+    # bit, ker one per direction X_<l, Y_<l cannot see.
+    enc, ker, rates, decoders = [], gf2.eye(k * m), [], []
     for l in range(k):
-        img = _receive(g, l, ker)
-        cols = gf2.rref(img, dim)[1]   # pivots: a basis of the image
-        r = len(cols)
-        v = gf2.columns(ker, dim, cols)
-        b_t = gf2.transpose(_receive(g, l, v), r)   # v's images
-        d = gf2.transpose(gf2.solve(b_t, m, gf2.eye(r), r), r)
-        # d is a left inverse of layer l's images, so after this update
-        # d @ Y_l annihilates every earlier layer.
-        upd = gf2.mul(v, gf2.mul(d, _receive(g, l, enc)))
-        enc = [(e ^ u) << r | vi for e, u, vi in zip(enc, upd, v)]
+        img = _images(g, l, ker)
+        cols = gf2.independent(img)[0]   # a basis of the image
+        r, v = len(cols), [ker[j] for j in cols]
+        # x's rows are decoder l's columns, a left inverse of v's images;
+        # after the update it annihilates the earlier layers at Y_l.
+        x = gf2.solve([img[j] for j in cols], m, gf2.eye(r), r)
+        upd = gf2.mul(gf2.mul(_images(g, l, enc), x), v)
+        enc = [e ^ u for e, u in zip(enc, upd)] + v
         rates.append(r)
-        decoders.append(gf2.unpack(d, m))
-        if l < k - 1:                # X_l and Y_l on the kernel
-            null, dim = gf2.nullspace(img + ker[l * m:(l + 1) * m], dim)
-            ker = gf2.mul(ker, null)
-    enc = gf2.unpack(enc, sum(rates))
+        decoders.append(gf2.unpack(x, r).T.copy())
+        if l < k - 1:                # kernel of (Y_l, X_l) on ker
+            s, top = (k - 1 - l) * m, (1 << m) - 1
+            ker = gf2.independent([y << m | c >> s & top
+                                   for y, c in zip(img, ker)], ker)[1]
+    enc = gf2.unpack(enc, k * m).T.copy()
     return LdcScheme(rates=tuple(rates),
-                     encoders=tuple(enc[i * m:(i + 1) * m]
-                                    for i in range(k)),
+                     encoders=tuple(enc[i * m:(i + 1) * m] for i in range(k)),
                      decoders=tuple(decoders))
 
 
@@ -367,21 +376,20 @@ def chain_rank_bound(g: LdcGains) -> int:
     increment below.
 
     Stack V = (Y_1, X_1, ..., Y_K, X_K) as linear maps of the joint
-    input.  In one triangular factorization of V (row echelon of its
-    transpose) the pivots in block Y_l count rank[C_l; Y_l] - rank C_l,
-    with C_l stacking X_<l and Y_<l.  Given C_l, Y_l ranges over a coset
-    of a space of that dimension, so H(Y_l | C_l) is at most that many
-    bits, and the uniform input attains it (a linear image of a uniform
-    input is uniform on its coset).  gaussian._chain_bound factors the
-    same stack and sums log-variances at the Y rows instead.
+    input.  The rows of block Y_l independent of every row before them
+    (the pivots of one triangular factorization of V) number
+    rank[C_l; Y_l] - rank C_l, with C_l stacking X_<l and Y_<l.  Given
+    C_l, Y_l ranges over a coset of a space of that dimension, so
+    H(Y_l | C_l) is at most that many bits, and the uniform input
+    attains it (a linear image of a uniform input is uniform on its
+    coset).  gaussian._chain_bound factors the same stack and sums
+    log-variances at the Y rows instead.
     """
-    k, m = g.k, g.m
+    k, m, v = g.k, g.m, []
     eye = gf2.eye(k * m)
-    v = []
     for l in range(k):
         v += _receive(g, l, eye) + eye[l * m:(l + 1) * m]
-    pivots = gf2.rref(gf2.transpose(v, k * m), 2 * k * m)[1]
-    return sum(1 for c in pivots if c // m % 2 == 0)
+    return sum(1 for j in gf2.independent(v)[0] if j // m % 2 == 0)
 
 
 def outer_bound_dominance_check(g: LdcGains, trials: int = 1000,

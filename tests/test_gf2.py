@@ -8,6 +8,17 @@ from hypothesis import strategies as st
 from cifc_cms import gf2, ldc
 
 
+def float_matmul(a, b):
+    """GF(2) product through a float64 BLAS product, exact for inner
+    dimensions below 2**53; it builds the large test matrices quickly."""
+    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
+
+
+def rank(a):
+    """GF(2) rank of a uint8 array: rref's pivot count."""
+    return len(gf2.rref(gf2.pack(a), a.shape[1])[1])
+
+
 def identity(n):
     return np.eye(n, dtype=np.uint8)
 
@@ -27,11 +38,32 @@ def random_matrix(rng, rows, cols):
     return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
 
 
+def kernel(a):
+    """The kernel basis of a uint8 matrix from independent, as the
+    columns of a uint8 array."""
+    cols = a.shape[1]
+    tags = gf2.independent(gf2.pack(a.T), gf2.eye(cols))[1]
+    return gf2.unpack(tags, cols).T
+
+
+def oracle_nullspace(a, n):
+    """The kernel of a (packed rows, n bits wide) read off rref, as gf2
+    computed it before its column elimination: one basis vector per
+    free column, in order, with e_c's pivot entries from RREF row c.
+    Returns the vectors as n-bit ints (columns)."""
+    rows, pivots = gf2.rref(a, n)
+    full = gf2.eye(n)
+    for r, c in zip(rows, pivots):
+        full[c] = r
+    free = [c for c in range(n) if c not in pivots]
+    return gf2.pack(gf2.unpack(full, n)[:, free].T)
+
+
 def random_invertible(n, rng):
     """Random invertible n x n matrix (rejection sampling)."""
     while True:
         m = random_matrix(rng, n, n)
-        if gf2.rank(m) == n:
+        if rank(m) == n:
             return m
 
 
@@ -46,12 +78,12 @@ class TestShiftMatrix:
     def test_moves_msb_down(self):
         # bit 1 (row 0) lands on bit 3 (row 2) under S^2
         x = np.array([[1], [0], [0], [0]], dtype=np.uint8)
-        y = gf2.matmul(gf2.shift_matrix(4, 2), x)
+        y = float_matmul(gf2.shift_matrix(4, 2), x)
         assert y[:, 0].tolist() == [0, 0, 1, 0]
 
     def test_discards_past_bottom(self):
         x = np.array([[0], [0], [0], [1]], dtype=np.uint8)
-        y = gf2.matmul(gf2.shift_matrix(4, 1), x)
+        y = float_matmul(gf2.shift_matrix(4, 1), x)
         assert not y.any()
 
     def test_rejects_negative(self):
@@ -62,31 +94,31 @@ class TestShiftMatrix:
 
     @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 14))
     def test_exponent_additivity(self, m, j, k):
-        lhs = gf2.matmul(gf2.shift_matrix(m, j), gf2.shift_matrix(m, k))
+        lhs = float_matmul(gf2.shift_matrix(m, j), gf2.shift_matrix(m, k))
         rhs = gf2.shift_matrix(m, min(j + k, m))
         assert np.array_equal(lhs, rhs)
 
 
 class TestRank:
     def test_known_values(self):
-        assert gf2.rank(identity(5)) == 5
-        assert gf2.rank(zeros(3, 4)) == 0
+        assert rank(identity(5)) == 5
+        assert rank(zeros(3, 4)) == 0
         m = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
         # third row is the sum of the first two
-        assert gf2.rank(m) == 2
+        assert rank(m) == 2
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     def test_rank_invariant_under_row_permutation(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, rows, cols)
         perm = rng.permutation(rows)
-        assert gf2.rank(m) == gf2.rank(m[perm])
+        assert rank(m) == rank(m[perm])
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     def test_rank_bounded_by_dimensions(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, rows, cols)
-        assert 0 <= gf2.rank(m) <= min(rows, cols)
+        assert 0 <= rank(m) <= min(rows, cols)
 
 
 class TestInvert:
@@ -97,8 +129,8 @@ class TestInvert:
         rng = np.random.default_rng(seed)
         m = random_invertible(n, rng)
         inv = inverse(m)
-        assert np.array_equal(gf2.matmul(m, inv), identity(n))
-        assert np.array_equal(gf2.matmul(inv, m), identity(n))
+        assert np.array_equal(float_matmul(m, inv), identity(n))
+        assert np.array_equal(float_matmul(inv, m), identity(n))
 
     def test_singular_has_no_inverse(self):
         assert inverse(zeros(3, 3)) is None
@@ -108,8 +140,8 @@ class TestInvert:
         assert gf2.solve(gf2.pack(tall), 2, gf2.eye(3), 3) is None
         # a wide matrix has a right inverse but no left one
         x = gf2.unpack(gf2.solve(gf2.pack(tall.T), 3, gf2.eye(2), 2), 2)
-        assert np.array_equal(gf2.matmul(tall.T, x), identity(2))
-        assert gf2.rank(gf2.matmul(x, tall.T)) == 2
+        assert np.array_equal(float_matmul(tall.T, x), identity(2))
+        assert rank(float_matmul(x, tall.T)) == 2
 
 
 class TestSolve:
@@ -119,10 +151,10 @@ class TestSolve:
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, rows, cols)
         x_true = random_matrix(rng, cols, rhs)
-        b = gf2.matmul(a, x_true)
+        b = float_matmul(a, x_true)
         x = gf2.solve(gf2.pack(a), cols, gf2.pack(b), rhs)
         assert x is not None
-        assert np.array_equal(gf2.matmul(a, gf2.unpack(x, rhs)), b)
+        assert np.array_equal(float_matmul(a, gf2.unpack(x, rhs)), b)
 
     def test_inconsistent_system_returns_none(self):
         a = np.array([[1, 0], [1, 0]], dtype=np.uint8)
@@ -135,11 +167,11 @@ class TestNullspace:
     def test_kernel_dimension_and_membership(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         a = random_matrix(rng, rows, cols)
-        ker = gf2.unpack(*gf2.nullspace(gf2.pack(a), cols))
-        assert ker.shape == (cols, cols - gf2.rank(a))
+        ker = kernel(a)
+        assert ker.shape == (cols, cols - rank(a))
         if ker.shape[1]:
-            assert not gf2.matmul(a, ker).any()
-            assert gf2.rank(ker) == ker.shape[1]
+            assert not float_matmul(a, ker).any()
+            assert rank(ker) == ker.shape[1]
 
 
 class TestRowEchelon:
@@ -149,7 +181,7 @@ class TestRowEchelon:
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, rows, cols)
         pivots = gf2.rref(gf2.pack(m), cols)[1]
-        assert gf2.rank(m[:, pivots]) == len(pivots) == gf2.rank(m)
+        assert rank(m[:, pivots]) == len(pivots) == rank(m)
 
 
 class TestIdentityPlusShiftFullRank:
@@ -176,12 +208,6 @@ EDGE_SHAPES = [(r, c) for r in (0, 1, 8, 9, 65) for c in EDGE_WIDTHS] \
     + [(256, 512), (512, 65)]
 
 
-def float_matmul(a, b):
-    """GF(2) product through a float64 BLAS product, exact for inner
-    dimensions below 2**53; it builds the large test matrices quickly."""
-    return (a.astype(np.float64) @ b.astype(np.float64) % 2).astype(np.uint8)
-
-
 def random_invertible_lu(n, rng):
     """Unit lower times unit upper triangular: invertible by
     construction, without calling the code under test."""
@@ -204,7 +230,7 @@ class TestPackingEdges:
         rng = np.random.default_rng(rows * 1000 + cols)
         for r in sorted({0, min(rows, cols) // 2, min(rows, cols)}):
             a = random_of_rank(rng, rows, cols, r)
-            assert gf2.rank(a) == gf2.rank(a.T) == r
+            assert rank(a) == rank(a.T) == r
 
     @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
     def test_mul_and_helpers(self, rows, cols):
@@ -216,9 +242,9 @@ class TestPackingEdges:
         assert np.array_equal(gf2.unpack(rows_a, cols), a)
         assert gf2.unpack(rows_a, cols).dtype == np.uint8
         assert gf2.mul(rows_a, gf2.pack(b)) == gf2.pack(float_matmul(a, b))
-        assert gf2.transpose(rows_a, cols) == gf2.pack(a.T)
-        sel = list(rng.permutation(cols)[:cols // 2])
-        assert gf2.columns(rows_a, cols, sel) == gf2.pack(a[:, sel])
+        # on columns, mul(B's, A's) gives the columns of A @ B
+        assert gf2.mul(gf2.pack(b.T), gf2.pack(a.T)) \
+            == gf2.pack(float_matmul(a, b).T)
         assert gf2.eye(cols) == gf2.pack(identity(cols))
 
     @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
@@ -228,7 +254,7 @@ class TestPackingEdges:
         rows_r, pivots = gf2.rref(gf2.pack(a), cols)
         k = len(pivots)
         r = gf2.unpack(rows_r, cols)
-        assert r.shape == (k, cols) and k == gf2.rank(a)
+        assert r.shape == (k, cols) and k == rank(a)
         assert pivots == sorted(set(pivots))
         for i, p in enumerate(pivots):
             assert not r[i, :p].any() and r[i, p] == 1
@@ -236,14 +262,14 @@ class TestPackingEdges:
         # every row of a is its pivot entries times R's rows, and R's
         # rows are combinations of a's rows
         assert np.array_equal(float_matmul(a[:, pivots], r), a)
-        assert gf2.solve(gf2.transpose(gf2.pack(a), cols), rows,
-                         gf2.transpose(rows_r, cols), k) is not None
+        assert gf2.solve(gf2.pack(a.T), rows, gf2.pack(r.T), k) is not None
+        assert gf2.independent(gf2.pack(a.T))[0] == pivots
 
     @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
     def test_solve_and_nullspace_identities(self, rows, cols):
         rng = np.random.default_rng(rows * 1000 + cols + 2)
         a = random_of_rank(rng, rows, cols, min(rows, cols) // 2)
-        rank = gf2.rank(a)
+        r = rank(a)
         b = float_matmul(a, random_matrix(rng, cols, 3))
         x = gf2.unpack(gf2.solve(gf2.pack(a), cols, gf2.pack(b), 3), 3)
         assert x.shape == (cols, 3)
@@ -251,11 +277,11 @@ class TestPackingEdges:
         pivots = gf2.rref(gf2.pack(a), cols)[1]
         free = [c for c in range(cols) if c not in pivots]
         assert not x[free].any()     # free variables are zero
-        rows_k, dim = gf2.nullspace(gf2.pack(a), cols)
-        ker = gf2.unpack(rows_k, dim)
-        assert ker.shape == (cols, cols - rank)
+        assert gf2.independent(gf2.pack(a.T))[0] == pivots
+        ker = kernel(a)
+        assert ker.shape == (cols, cols - r)
         assert not float_matmul(a, ker).any()
-        assert gf2.rank(ker) == cols - rank
+        assert rank(ker) == cols - r
 
     @pytest.mark.parametrize("rows,cols", [(9, 8), (65, 64), (512, 65)])
     def test_inconsistent_system(self, rows, cols):
@@ -280,9 +306,71 @@ class TestPackingEdges:
         for rows, cols in [(0, 0), (0, 5), (5, 0), (0, 64)]:
             a = gf2.pack(zeros(rows, cols))
             assert gf2.rref(a, cols) == ([], [])
-            assert gf2.rank(zeros(rows, cols)) == 0
-            assert gf2.nullspace(a, cols) == (gf2.eye(cols), cols)
+            assert rank(zeros(rows, cols)) == 0
+            assert gf2.independent([0] * cols, gf2.eye(cols)) \
+                == ([], gf2.eye(cols))
             assert gf2.solve(a, cols, gf2.pack(zeros(rows, 2)), 2) \
                 == [0] * cols
         assert gf2.solve([], 0, [], 0) == []
         assert gf2.solve(gf2.pack(zeros(2, 0)), 0, gf2.eye(2), 2) is None
+
+
+@st.composite
+def column_sets(draw):
+    """(width, vectors): zero, repeated and dependent vectors among
+    random ones, widths 0 to 512 (chain_rank_bound's 2*K*m at the cap)."""
+    width = draw(st.sampled_from([0, 1, 2, 5, 63, 64, 65, 512]))
+    out = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "sum"]))
+        if kind == "zero" or (kind != "random" and not out):
+            v = 0
+        elif kind == "repeat":
+            v = draw(st.sampled_from(out))
+        elif kind == "sum":
+            v = 0
+            for u in draw(st.lists(st.sampled_from(out), max_size=4)):
+                v ^= u
+        else:
+            v = draw(st.integers(0, (1 << width) - 1))
+        out.append(v)
+    return width, out
+
+
+class TestIndependent:
+    """independent against rref's pivots and the nullspace oracle."""
+
+    @given(column_sets())
+    def test_pivots_are_rrefs(self, case):
+        width, vectors = case
+        rows = gf2.pack(gf2.unpack(vectors, width).T)
+        found, dependent = gf2.independent(vectors)
+        assert found == gf2.rref(rows, len(vectors))[1]
+        assert dependent == [0] * (len(vectors) - len(found))
+
+    @given(column_sets())
+    def test_unit_tags_give_the_nullspace(self, case):
+        width, vectors = case
+        n = len(vectors)
+        a = gf2.unpack(vectors, width).T
+        ker = gf2.independent(vectors, gf2.eye(n))[1]
+        assert ker == oracle_nullspace(gf2.pack(a), n)
+        assert len(ker) == n - rank(a)
+        assert not float_matmul(a, gf2.unpack(ker, n).T).any()
+
+    @given(column_sets(), st.integers(0, 2 ** 31 - 1))
+    def test_tags_follow_the_unique_sum(self, case, seed):
+        # the reduced tag of vector j is the XOR of the tags of j and of
+        # the vectors in its kernel vector's support
+        _, vectors = case
+        n = len(vectors)
+        rng = np.random.default_rng(seed)
+        tags = [int(t) for t in rng.integers(0, 1 << 62, size=n)]
+        ker = gf2.independent(vectors, gf2.eye(n))[1]
+        assert gf2.independent(vectors, tags)[1] == gf2.mul(ker, tags)
+
+    def test_first_of_equal_vectors_is_kept(self):
+        assert gf2.independent([0, 6, 6, 3, 5]) == ([1, 3], [0, 0, 0])
+        assert gf2.independent([0, 6, 6, 3, 5], [1, 2, 4, 8, 16]) \
+            == ([1, 3], [1, 6, 26])
+        assert gf2.independent([]) == ([], [])

@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifc_cms import gf2, ldc
+from test_gf2 import float_matmul, oracle_nullspace, rank
 
 
 def decode_all(g, s, w):
     """Every decoder's output for the message-word columns w, simulated
     through the channel shift matrices."""
-    xs = [gf2.matmul(e, w) for e in s.encoders]
-    ys = [sum(gf2.matmul(g.channel_matrix(l, i), xs[i])
+    xs = [float_matmul(e, w) for e in s.encoders]
+    ys = [sum(float_matmul(g.channel_matrix(l, i), xs[i])
               for i in range(g.k)) % 2 for l in range(g.k)]
-    return [gf2.matmul(d, y) for d, y in zip(s.decoders, ys)]
+    return [float_matmul(d, y) for d, y in zip(s.decoders, ys)]
 
 
 def enumeration_counterexample(g, s):
@@ -208,7 +209,7 @@ def rank_difference_oracle(c, d, a, b):
         return 0
     first = np.hstack([gf2.shift_matrix(m, m - a), gf2.shift_matrix(m, m - b)])
     second = np.hstack([gf2.shift_matrix(m, m - c), gf2.shift_matrix(m, m - d)])
-    return gf2.rank(np.vstack([first, second])) - gf2.rank(first)
+    return rank(np.vstack([first, second])) - rank(first)
 
 
 class TestFFunction:
@@ -289,7 +290,7 @@ def oracle_chain_rank_bound(g):
     known, total = np.zeros((0, k * m), np.uint8), 0
     for l in range(k):
         y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
-        total += gf2.rank(np.vstack([known, y])) - gf2.rank(known)
+        total += rank(np.vstack([known, y])) - rank(known)
         x = np.eye(m, k * m, l * m, dtype=np.uint8)
         known = np.vstack([known, y, x])
     return total
@@ -387,11 +388,60 @@ class TestGenericScheme3:
 
 
 @st.composite
-def square_gains(draw):
+def square_gains(draw, top=5):
     k = draw(st.integers(2, 6))
     return ldc.LdcGains.from_matrix(draw(st.lists(
-        st.lists(st.integers(0, 5), min_size=k, max_size=k),
+        st.lists(st.integers(0, top), min_size=k, max_size=k),
         min_size=k, max_size=k)))
+
+
+def transpose(rows, width):
+    return gf2.pack(gf2.unpack(rows, width).T)
+
+
+def oracle_chain_scheme(g):
+    """build_chain_scheme on packed rows, as it was before it held its
+    directions as columns: enc and ker are rows over the stacked inputs,
+    each layer selects and transposes columns, and the kernel is
+    multiplied in from rref's nullspace."""
+    k, m = g.k, g.m
+    enc = [0] * (k * m)
+    ker, dim = gf2.eye(k * m), k * m
+    rates, decoders = [], []
+    for l in range(k):
+        img = ldc._receive(g, l, ker)
+        cols = gf2.rref(img, dim)[1]
+        r = len(cols)
+        v = gf2.pack(gf2.unpack(ker, dim)[:, cols])
+        b_t = transpose(ldc._receive(g, l, v), r)
+        d = transpose(gf2.solve(b_t, m, gf2.eye(r), r), r)
+        upd = gf2.mul(v, gf2.mul(d, ldc._receive(g, l, enc)))
+        enc = [(e ^ u) << r | vi for e, u, vi in zip(enc, upd, v)]
+        rates.append(r)
+        decoders.append(gf2.unpack(d, m))
+        if l < k - 1:
+            null = oracle_nullspace(img + ker[l * m:(l + 1) * m], dim)
+            ker, dim = gf2.mul(ker, transpose(null, dim)), len(null)
+    enc = gf2.unpack(enc, sum(rates))
+    return ldc.LdcScheme(rates=tuple(rates),
+                         encoders=tuple(enc[i * m:(i + 1) * m]
+                                        for i in range(k)),
+                         decoders=tuple(decoders))
+
+
+def assert_same_scheme(s, t):
+    assert s.rates == t.rates
+    for a, b in zip(s.encoders + s.decoders, t.encoders + t.decoders,
+                    strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes())
+
+
+def cap_gains(k, m, seed):
+    """Random gains at the K * m <= 256 cap, n[0][0] = m."""
+    n = np.random.default_rng(seed).integers(0, m + 1, size=(k, k))
+    n[0, 0] = m
+    return ldc.LdcGains.from_matrix(n)
 
 
 class TestChainScheme:
@@ -402,6 +452,22 @@ class TestChainScheme:
         assert s.total_bits == ldc.chain_rank_bound(g)
         assert s.respects_cms()
         assert ldc.verify_scheme(g, s).passed
+
+    @given(square_gains(7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_form_oracle(self, g):
+        assert_same_scheme(ldc.build_chain_scheme(g), oracle_chain_scheme(g))
+
+    @pytest.mark.parametrize("k,m", [(4, 60), (8, 32), (2, 128)])
+    def test_matches_row_form_oracle_at_the_cap(self, k, m):
+        for seed in range(3):
+            g = cap_gains(k, m, seed)
+            assert_same_scheme(ldc.build_chain_scheme(g),
+                               oracle_chain_scheme(g))
+        for g in (ldc.LdcGains.symmetric(0, 0, k),
+                  ldc.LdcGains.symmetric(m, 0, k)):
+            assert_same_scheme(ldc.build_chain_scheme(g),
+                               oracle_chain_scheme(g))
 
     def test_three_user_rates_are_the_outer_bound_terms(self):
         rng = np.random.default_rng(8)
