@@ -4,12 +4,11 @@ A matrix is a list of ints, its other dimension beside it: packed rows
 (column 0 in the top bit) or vectors as columns (row 0 in the top bit),
 so a row or column operation is one XOR.  rref and solve take rows,
 independent takes columns, and mul takes either: a @ b on rows, or the
-columns of A @ B from those of B and A as a and b.  pack and unpack
-convert rows from and to uint8 {0, 1} arrays; shift_matrix returns the
-channel's S^k as one.  Bit index 1 is the most significant position
-and maps to array row 0, so the shift matrix pushes bits toward larger
-indices (down the vector) and discards anything shifted past the last
-position.
+columns of A @ B from those of B and A as a and b.  unpack turns rows
+into a uint8 {0, 1} array.  Bit index 1 is the most significant
+position and maps to array row 0, so the channel's shift S^k pushes
+bits toward larger indices (down the vector) and discards anything
+shifted past the last position.
 
 All functions are pure; inputs are never mutated.
 """
@@ -19,27 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def shift_matrix(m: int, k: int) -> np.ndarray:
-    """The m x m down-shift matrix S^k.
-
-    (S^k x) moves bit j to bit j+k and discards bits shifted past
-    position m.  S^0 is the identity; S^k is the zero matrix for k >= m.
-    """
-    if m < 0 or k < 0:
-        raise ValueError("dimension and shift must be non-negative")
-    return np.eye(m, k=-k, dtype=np.uint8)
-
-
-def pack(a: np.ndarray) -> list[int]:
-    """The rows of a 2-D {0,1} array as ints, column 0 in the top bit."""
-    nbytes, pad = -(-a.shape[1] // 8), -a.shape[1] % 8
-    data = np.packbits(a, axis=1).tobytes()
-    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big") >> pad
-            for i in range(a.shape[0])]
-
-
 def unpack(rows: list[int], width: int) -> np.ndarray:
-    """Inverse of pack: a len(rows) x width uint8 array."""
+    """The rows as a len(rows) x width uint8 {0, 1} array."""
     nbytes, pad = -(-width // 8), -width % 8
     data = b"".join([(r << pad).to_bytes(nbytes, "big") for r in rows])
     return np.unpackbits(np.frombuffer(data, np.uint8).reshape(

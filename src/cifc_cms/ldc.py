@@ -63,9 +63,6 @@ class LdcGains:
     def m(self) -> int:
         return max(max(row) for row in self.n)
 
-    def channel_matrix(self, l: int, i: int) -> np.ndarray:
-        return gf2.shift_matrix(self.m, self.m - self.n[l][i])
-
 
 def _receive(g: LdcGains, l: int, rows: list[int]) -> list[int]:
     """Packed rows of Y_l for the K*m packed rows of a stacked (X_1, ...,
@@ -110,15 +107,18 @@ class SumRateBound:
 class LdcScheme:
     """Linear encoders/decoders with achieved per-user message lengths.
 
-    Encoders map the concatenated message word (r_1 + ... + r_K bits,
-    user 1 first) to the m-bit channel input; encoder i must have zero
-    columns on messages of users > i (cumulative message sharing).
-    Decoders map the m-bit channel output to the r_l message bits.
+    columns: one K*m-bit int per bit of the message word (r_1 + ... +
+    r_K bits, user 1 first), its image in the stacked inputs (X_1, ...,
+    X_K), X_1 in the top bits.  decoder_columns: per user l, the m
+    columns of decoder l (channel output to user l's bits), r_l-bit
+    ints.  encoders (m x total_bits) and decoders (r_l x m) are the
+    same maps as uint8 arrays, derived on first use.
     """
 
     rates: tuple[int, ...]
-    encoders: tuple[np.ndarray, ...]
-    decoders: tuple[np.ndarray, ...]
+    m: int
+    columns: tuple[int, ...]
+    decoder_columns: tuple[tuple[int, ...], ...]
 
     @property
     def total_bits(self) -> int:
@@ -132,13 +132,28 @@ class LdcScheme:
         off = self.offsets[user]
         return slice(off, off + self.rates[user])
 
+    # The views are read-only: a write would desync them from the ints.
+    @cached_property
+    def encoders(self) -> tuple[np.ndarray, ...]:
+        k, m = len(self.rates), self.m
+        enc = gf2.unpack(self.columns, k * m).T.copy()
+        enc.flags.writeable = False
+        return tuple(enc[i * m:(i + 1) * m] for i in range(k))
+
+    @cached_property
+    def decoders(self) -> tuple[np.ndarray, ...]:
+        dec = tuple(gf2.unpack(d, r).T.copy()
+                    for d, r in zip(self.decoder_columns, self.rates))
+        for d in dec:
+            d.flags.writeable = False
+        return dec
+
     def respects_cms(self) -> bool:
-        """Encoder i may only depend on messages of users 1..i."""
-        for i, enc in enumerate(self.encoders):
-            known = self.offsets[i] + self.rates[i]
-            if enc[:, known:].any():
-                return False
-        return True
+        """Encoder i may only depend on messages of users 1..i: no column
+        of user l's bits touches the blocks of X_<l."""
+        users = (l for l, r in enumerate(self.rates) for _ in range(r))
+        k, m = len(self.rates), self.m
+        return not any(c >> (k - l) * m for l, c in zip(users, self.columns))
 
 
 @dataclass(frozen=True)
@@ -233,21 +248,21 @@ def _sym_encoders(nd: int, ni: int, k: int) -> LdcScheme:
     """The one-cognitive-transmitter scheme for nd != ni."""
     m = max(nd, ni)
     t = positive_part(nd - ni)  # bits for the last user
-    total = (k - 1) * m + t
-    encoders = [np.eye(m, total, j * m, dtype=np.uint8) for j in range(k - 1)]
-    # Transmitter K passes the top ni rows of every other message through
-    # and puts message K on the t input levels below them.
-    b_top = np.diag(np.arange(m) < ni).astype(np.uint8)
-    encoders.append(np.hstack([b_top] * (k - 1)
-                              + [np.eye(m, t, -ni, dtype=np.uint8)]))
+    # Transmitter j < K sends message j untouched.  Transmitter K passes
+    # the top ni levels of every other message through and puts message
+    # K on the t input levels below them.
+    cols = [1 << (k - j) * m - 1 - q | (1 << m - 1 - q if q < ni else 0)
+            for j in range(k - 1) for q in range(m)]
+    cols += [1 << m - 1 - ni - q for q in range(t)]
     # Every receiver sees (I + S^c) times the bits it decodes, with
     # c = |nd - ni| >= 1.  S^c is nilpotent, so the inverse is the
-    # finite geometric series: the sum of S^jc over jc < m.
-    dec_all = sum(gf2.shift_matrix(m, j) for j in range(0, m, abs(nd - ni)))
-    decoders = [dec_all.copy() for _ in range(k - 1)]
-    decoders.append(dec_all[ni:ni + t].copy())
-    return LdcScheme(rates=tuple([m] * (k - 1) + [t]),
-                     encoders=tuple(encoders), decoders=tuple(decoders))
+    # finite geometric series: the sum of S^jc over jc < m.  Its column
+    # b is its column 0 shifted down b levels.
+    first = sum(1 << m - 1 - j for j in range(0, m, abs(nd - ni)))
+    dec = tuple(first >> b for b in range(m))
+    last = tuple(d >> m - ni - t & (1 << t) - 1 for d in dec)
+    return LdcScheme(tuple([m] * (k - 1) + [t]), m, tuple(cols),
+                     (dec,) * (k - 1) + (last,))
 
 
 def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
@@ -266,13 +281,10 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
     if nd != ni:
         return _sym_encoders(nd, ni, k)
     # MAC corner: user 1 sends nd bits, everyone else is silent.
-    m = nd
-    encoders = ([np.eye(m, dtype=np.uint8)]
-                + [np.zeros((m, m), np.uint8) for _ in range(k - 1)])
-    decoders = ([np.eye(m, dtype=np.uint8)]
-                + [np.zeros((0, m), np.uint8) for _ in range(k - 1)])
-    return LdcScheme(rates=tuple([m] + [0] * (k - 1)),
-                     encoders=tuple(encoders), decoders=tuple(decoders))
+    m, eye = nd, tuple(gf2.eye(nd))
+    return LdcScheme((m,) + (0,) * (k - 1), m,
+                     tuple(c << (k - 1) * m for c in eye),
+                     (eye,) + ((0,) * m,) * (k - 1))
 
 
 def build_chain_scheme(g: LdcGains) -> LdcScheme:
@@ -301,15 +313,12 @@ def build_chain_scheme(g: LdcGains) -> LdcScheme:
         upd = gf2.mul(gf2.mul(_images(g, l, enc), x), v)
         enc = [e ^ u for e, u in zip(enc, upd)] + v
         rates.append(r)
-        decoders.append(gf2.unpack(x, r).T.copy())
+        decoders.append(tuple(x))
         if l < k - 1:                # kernel of (Y_l, X_l) on ker
             s, top = (k - 1 - l) * m, (1 << m) - 1
             ker = gf2.independent([y << m | c >> s & top
                                    for y, c in zip(img, ker)], ker)[1]
-    enc = gf2.unpack(enc, k * m).T.copy()
-    return LdcScheme(rates=tuple(rates),
-                     encoders=tuple(enc[i * m:(i + 1) * m] for i in range(k)),
-                     decoders=tuple(decoders))
+    return LdcScheme(tuple(rates), m, tuple(enc), tuple(decoders))
 
 
 def build_generic3_scheme(g: LdcGains, seed: int = 0) -> LdcScheme:
@@ -336,29 +345,40 @@ def verify_scheme(g: LdcGains, s: LdcScheme, mode: str = "auto",
     """
     if mode not in ("auto", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    if len(s.encoders) != g.k or len(s.decoders) != g.k:
+    k, m, total = g.k, g.m, s.total_bits
+    if len(s.rates) != k or len(s.decoder_columns) != k or s.m != m:
         raise ValueError("scheme dimensions do not match the channel")
-    m, total = g.m, s.total_bits
-    for e in s.encoders:
-        if e.shape != (m, total):
-            raise ValueError("encoder dimensions do not match the channel")
-    for r, d in zip(s.rates, s.decoders):
-        if d.shape != (r, m):
+    if len(s.columns) != total or any(c >> k * m for c in s.columns):
+        raise ValueError("encoder dimensions do not match the channel")
+    for r, d in zip(s.rates, s.decoder_columns):
+        if len(d) != m or any(c >> r for c in d):
             raise ValueError("decoder dimensions do not match the channel")
 
-    enc = gf2.pack(np.vstack(s.encoders) & 1)
-    dec = gf2.pack(np.vstack(s.decoders) & 1)
-    for l, off in enumerate(s.offsets):
-        got = gf2.mul(dec[off:off + s.rates[l]], _receive(g, l, enc))
-        lead = max(((row ^ 1 << total - 1 - off - q).bit_length()
-                    for q, row in enumerate(got)), default=0)
-        if lead:                     # the leftmost column decoded wrongly
-            j = total - lead
-            msgs = tuple(tuple(int(b == j) for b in
-                               range(total)[s.message_slice(u)])
-                         for u in range(g.k))
-            cex = (msgs, l, tuple(row >> total - 1 - j & 1 for row in got))
-            return VerificationReport(False, "exhaustive", 1 << total, cex)
+    # All K identities at once.  rows[b] is row b of the stacked
+    # (D_l H_l)^T: input level p of X_i reaches level m - n + p of Y_l
+    # when p < n, where decoder l's column lands in user l's bits.  Column
+    # j of the stacked D_l H_l E, the XOR of the rows under c_j, is e_j.
+    rows = [0] * (k * m)
+    for l, (off, r) in enumerate(zip(s.offsets, s.rates)):
+        low, dec = total - off - r, s.decoder_columns[l]
+        for i, n in enumerate(g.n[l]):
+            for p, d in enumerate(dec[m - n:], i * m):
+                rows[p] ^= d << low
+    got = gf2.mul(s.columns, rows)
+    diff = [y ^ e for y, e in zip(got, gf2.eye(total))]
+    pos = total - max(diff, default=0).bit_length()
+    if pos < total:
+        # the first user with a wrong bit, and its leftmost wrong column
+        l = max(u for u, off in enumerate(s.offsets) if off <= pos)
+        off, r = s.offsets[l], s.rates[l]
+        mask = (1 << r) - 1 << total - off - r
+        j = next(j for j, d in enumerate(diff) if d & mask)
+        msgs = tuple(tuple(int(b == j) for b in
+                           range(total)[s.message_slice(u)])
+                     for u in range(k))
+        cex = (msgs, l, tuple(got[j] >> total - 1 - off - q & 1
+                              for q in range(r)))
+        return VerificationReport(False, "exhaustive", 1 << total, cex)
     return VerificationReport(True, "exhaustive", 1 << total)
 
 

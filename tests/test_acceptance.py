@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cifc_cms import gaussian, gdof, gf2, ldc
-from test_gf2 import float_matmul, random_invertible, rank
+from test_gf2 import (float_matmul, pack, random_invertible, rank,
+                      shift_matrix)
 from test_ldc import entropy_sum
 
 
@@ -162,9 +163,9 @@ class TestGf2PropertySuite:
         for m in range(1, 11):
             for j in range(m + 2):
                 for k in range(m + 2):
-                    lhs = float_matmul(gf2.shift_matrix(m, j),
-                                           gf2.shift_matrix(m, k))
-                    rhs = gf2.shift_matrix(m, min(j + k, m))
+                    lhs = float_matmul(shift_matrix(m, j),
+                                       shift_matrix(m, k))
+                    rhs = shift_matrix(m, min(j + k, m))
                     assert np.array_equal(lhs, rhs), (m, j, k)
 
     def test_inverse_round_trips(self):
@@ -173,7 +174,7 @@ class TestGf2PropertySuite:
             eye = np.eye(n, dtype=np.uint8)
             for _ in range(20):
                 m = random_invertible(n, rng)
-                inv = gf2.unpack(gf2.solve(gf2.pack(m), n, gf2.eye(n), n), n)
+                inv = gf2.unpack(gf2.solve(pack(m), n, gf2.eye(n), n), n)
                 assert np.array_equal(float_matmul(m, inv), eye)
                 assert np.array_equal(float_matmul(inv, m), eye)
 
@@ -181,7 +182,7 @@ class TestGf2PropertySuite:
         # the decoder matrix of the symmetric scheme has this form
         for m in range(1, 11):
             for k in range(1, m + 1):
-                s = np.eye(m, dtype=np.uint8) ^ gf2.shift_matrix(m, k)
+                s = np.eye(m, dtype=np.uint8) ^ shift_matrix(m, k)
                 assert rank(s) == m, (m, k)
 
     def test_f_function_equals_rank_difference(self):
@@ -190,9 +191,9 @@ class TestGf2PropertySuite:
             if m == 0:
                 assert ldc.f_function(c, d, a, b) == 0
                 continue
-            top = np.hstack([gf2.shift_matrix(m, m - a),
-                             gf2.shift_matrix(m, m - b)])
-            bot = np.hstack([gf2.shift_matrix(m, m - c),
-                             gf2.shift_matrix(m, m - d)])
+            top = np.hstack([shift_matrix(m, m - a),
+                             shift_matrix(m, m - b)])
+            bot = np.hstack([shift_matrix(m, m - c),
+                             shift_matrix(m, m - d)])
             oracle = rank(np.vstack([top, bot])) - rank(top)
             assert ldc.f_function(c, d, a, b) == oracle, (c, d, a, b)

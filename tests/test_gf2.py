@@ -8,6 +8,24 @@ from hypothesis import strategies as st
 from cifc_cms import gf2, ldc
 
 
+def pack(a):
+    """The rows of a 2-D {0,1} array as ints, column 0 in the top bit:
+    the inverse of gf2.unpack."""
+    nbytes, pad = -(-a.shape[1] // 8), -a.shape[1] % 8
+    data = np.packbits(a, axis=1).tobytes()
+    return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big") >> pad
+            for i in range(a.shape[0])]
+
+
+def shift_matrix(m, k):
+    """The m x m down-shift matrix S^k as a uint8 array: (S^k x) moves
+    bit j to bit j+k and discards bits shifted past position m.  S^0 is
+    the identity; S^k is the zero matrix for k >= m."""
+    if m < 0 or k < 0:
+        raise ValueError("dimension and shift must be non-negative")
+    return np.eye(m, k=-k, dtype=np.uint8)
+
+
 def float_matmul(a, b):
     """GF(2) product through a float64 BLAS product, exact for inner
     dimensions below 2**53; it builds the large test matrices quickly."""
@@ -16,7 +34,7 @@ def float_matmul(a, b):
 
 def rank(a):
     """GF(2) rank of a uint8 array: rref's pivot count."""
-    return len(gf2.rref(gf2.pack(a), a.shape[1])[1])
+    return len(gf2.rref(pack(a), a.shape[1])[1])
 
 
 def identity(n):
@@ -30,7 +48,7 @@ def zeros(rows, cols):
 def inverse(m):
     """The GF(2) inverse of a square uint8 matrix through solve, or None."""
     n = m.shape[0]
-    x = gf2.solve(gf2.pack(m), n, gf2.eye(n), n)
+    x = gf2.solve(pack(m), n, gf2.eye(n), n)
     return None if x is None else gf2.unpack(x, n)
 
 
@@ -42,7 +60,7 @@ def kernel(a):
     """The kernel basis of a uint8 matrix from independent, as the
     columns of a uint8 array."""
     cols = a.shape[1]
-    tags = gf2.independent(gf2.pack(a.T), gf2.eye(cols))[1]
+    tags = gf2.independent(pack(a.T), gf2.eye(cols))[1]
     return gf2.unpack(tags, cols).T
 
 
@@ -56,7 +74,7 @@ def oracle_nullspace(a, n):
     for r, c in zip(rows, pivots):
         full[c] = r
     free = [c for c in range(n) if c not in pivots]
-    return gf2.pack(gf2.unpack(full, n)[:, free].T)
+    return pack(gf2.unpack(full, n)[:, free].T)
 
 
 def random_invertible(n, rng):
@@ -69,33 +87,33 @@ def random_invertible(n, rng):
 
 class TestShiftMatrix:
     def test_identity_at_zero(self):
-        assert np.array_equal(gf2.shift_matrix(4, 0), np.eye(4, dtype=np.uint8))
+        assert np.array_equal(shift_matrix(4, 0), np.eye(4, dtype=np.uint8))
 
     def test_zero_at_or_past_dimension(self):
-        assert not gf2.shift_matrix(4, 4).any()
-        assert not gf2.shift_matrix(4, 9).any()
+        assert not shift_matrix(4, 4).any()
+        assert not shift_matrix(4, 9).any()
 
     def test_moves_msb_down(self):
         # bit 1 (row 0) lands on bit 3 (row 2) under S^2
         x = np.array([[1], [0], [0], [0]], dtype=np.uint8)
-        y = float_matmul(gf2.shift_matrix(4, 2), x)
+        y = float_matmul(shift_matrix(4, 2), x)
         assert y[:, 0].tolist() == [0, 0, 1, 0]
 
     def test_discards_past_bottom(self):
         x = np.array([[0], [0], [0], [1]], dtype=np.uint8)
-        y = float_matmul(gf2.shift_matrix(4, 1), x)
+        y = float_matmul(shift_matrix(4, 1), x)
         assert not y.any()
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            gf2.shift_matrix(-1, 0)
+            shift_matrix(-1, 0)
         with pytest.raises(ValueError):
-            gf2.shift_matrix(3, -2)
+            shift_matrix(3, -2)
 
     @given(st.integers(1, 12), st.integers(0, 14), st.integers(0, 14))
     def test_exponent_additivity(self, m, j, k):
-        lhs = float_matmul(gf2.shift_matrix(m, j), gf2.shift_matrix(m, k))
-        rhs = gf2.shift_matrix(m, min(j + k, m))
+        lhs = float_matmul(shift_matrix(m, j), shift_matrix(m, k))
+        rhs = shift_matrix(m, min(j + k, m))
         assert np.array_equal(lhs, rhs)
 
 
@@ -137,9 +155,9 @@ class TestInvert:
 
     def test_non_square_has_no_inverse(self):
         tall = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
-        assert gf2.solve(gf2.pack(tall), 2, gf2.eye(3), 3) is None
+        assert gf2.solve(pack(tall), 2, gf2.eye(3), 3) is None
         # a wide matrix has a right inverse but no left one
-        x = gf2.unpack(gf2.solve(gf2.pack(tall.T), 3, gf2.eye(2), 2), 2)
+        x = gf2.unpack(gf2.solve(pack(tall.T), 3, gf2.eye(2), 2), 2)
         assert np.array_equal(float_matmul(tall.T, x), identity(2))
         assert rank(float_matmul(x, tall.T)) == 2
 
@@ -152,14 +170,14 @@ class TestSolve:
         a = random_matrix(rng, rows, cols)
         x_true = random_matrix(rng, cols, rhs)
         b = float_matmul(a, x_true)
-        x = gf2.solve(gf2.pack(a), cols, gf2.pack(b), rhs)
+        x = gf2.solve(pack(a), cols, pack(b), rhs)
         assert x is not None
         assert np.array_equal(float_matmul(a, gf2.unpack(x, rhs)), b)
 
     def test_inconsistent_system_returns_none(self):
         a = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         b = np.array([[1], [0]], dtype=np.uint8)
-        assert gf2.solve(gf2.pack(a), 2, gf2.pack(b), 1) is None
+        assert gf2.solve(pack(a), 2, pack(b), 1) is None
 
 
 class TestNullspace:
@@ -180,7 +198,7 @@ class TestRowEchelon:
         # build_chain_scheme takes its layer basis from these pivots
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, rows, cols)
-        pivots = gf2.rref(gf2.pack(m), cols)[1]
+        pivots = gf2.rref(pack(m), cols)[1]
         assert rank(m[:, pivots]) == len(pivots) == rank(m)
 
 
@@ -196,8 +214,8 @@ class TestIdentityPlusShiftFullRank:
     def test_all_shifts(self, m):
         for c in range(1, m + 1):
             dec = ldc.build_sym_scheme(m, m - c, 2).decoders[0]
-            s = gf2.pack(identity(m) ^ gf2.shift_matrix(m, c))
-            d = gf2.pack(dec)
+            s = pack(identity(m) ^ shift_matrix(m, c))
+            d = pack(dec)
             assert gf2.mul(d, s) == gf2.mul(s, d) == gf2.eye(m), (m, c)
 
 
@@ -237,21 +255,21 @@ class TestPackingEdges:
         rng = np.random.default_rng(rows * 1000 + cols + 3)
         a = random_matrix(rng, rows, cols)
         b = random_matrix(rng, cols, 9)
-        rows_a = gf2.pack(a)
+        rows_a = pack(a)
         assert len(rows_a) == rows and all(r >> cols == 0 for r in rows_a)
         assert np.array_equal(gf2.unpack(rows_a, cols), a)
         assert gf2.unpack(rows_a, cols).dtype == np.uint8
-        assert gf2.mul(rows_a, gf2.pack(b)) == gf2.pack(float_matmul(a, b))
+        assert gf2.mul(rows_a, pack(b)) == pack(float_matmul(a, b))
         # on columns, mul(B's, A's) gives the columns of A @ B
-        assert gf2.mul(gf2.pack(b.T), gf2.pack(a.T)) \
-            == gf2.pack(float_matmul(a, b).T)
-        assert gf2.eye(cols) == gf2.pack(identity(cols))
+        assert gf2.mul(pack(b.T), pack(a.T)) \
+            == pack(float_matmul(a, b).T)
+        assert gf2.eye(cols) == pack(identity(cols))
 
     @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
     def test_row_echelon_is_reduced_and_spans_the_rows(self, rows, cols):
         rng = np.random.default_rng(rows * 1000 + cols + 1)
         a = random_of_rank(rng, rows, cols, min(rows, cols) * 2 // 3)
-        rows_r, pivots = gf2.rref(gf2.pack(a), cols)
+        rows_r, pivots = gf2.rref(pack(a), cols)
         k = len(pivots)
         r = gf2.unpack(rows_r, cols)
         assert r.shape == (k, cols) and k == rank(a)
@@ -262,8 +280,8 @@ class TestPackingEdges:
         # every row of a is its pivot entries times R's rows, and R's
         # rows are combinations of a's rows
         assert np.array_equal(float_matmul(a[:, pivots], r), a)
-        assert gf2.solve(gf2.pack(a.T), rows, gf2.pack(r.T), k) is not None
-        assert gf2.independent(gf2.pack(a.T))[0] == pivots
+        assert gf2.solve(pack(a.T), rows, pack(r.T), k) is not None
+        assert gf2.independent(pack(a.T))[0] == pivots
 
     @pytest.mark.parametrize("rows,cols", EDGE_SHAPES)
     def test_solve_and_nullspace_identities(self, rows, cols):
@@ -271,13 +289,13 @@ class TestPackingEdges:
         a = random_of_rank(rng, rows, cols, min(rows, cols) // 2)
         r = rank(a)
         b = float_matmul(a, random_matrix(rng, cols, 3))
-        x = gf2.unpack(gf2.solve(gf2.pack(a), cols, gf2.pack(b), 3), 3)
+        x = gf2.unpack(gf2.solve(pack(a), cols, pack(b), 3), 3)
         assert x.shape == (cols, 3)
         assert np.array_equal(float_matmul(a, x), b)
-        pivots = gf2.rref(gf2.pack(a), cols)[1]
+        pivots = gf2.rref(pack(a), cols)[1]
         free = [c for c in range(cols) if c not in pivots]
         assert not x[free].any()     # free variables are zero
-        assert gf2.independent(gf2.pack(a.T))[0] == pivots
+        assert gf2.independent(pack(a.T))[0] == pivots
         ker = kernel(a)
         assert ker.shape == (cols, cols - r)
         assert not float_matmul(a, ker).any()
@@ -289,7 +307,7 @@ class TestPackingEdges:
         p = random_invertible_lu(rows, rng)
         d = np.eye(rows, cols, dtype=np.uint8)
         a = float_matmul(p, d)       # column space: p's first cols columns
-        assert gf2.solve(gf2.pack(a), cols, gf2.pack(p[:, -1:]), 1) is None
+        assert gf2.solve(pack(a), cols, pack(p[:, -1:]), 1) is None
 
     @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 256])
     def test_invert_round_trip(self, n):
@@ -304,15 +322,15 @@ class TestPackingEdges:
 
     def test_empty_matrices(self):
         for rows, cols in [(0, 0), (0, 5), (5, 0), (0, 64)]:
-            a = gf2.pack(zeros(rows, cols))
+            a = pack(zeros(rows, cols))
             assert gf2.rref(a, cols) == ([], [])
             assert rank(zeros(rows, cols)) == 0
             assert gf2.independent([0] * cols, gf2.eye(cols)) \
                 == ([], gf2.eye(cols))
-            assert gf2.solve(a, cols, gf2.pack(zeros(rows, 2)), 2) \
+            assert gf2.solve(a, cols, pack(zeros(rows, 2)), 2) \
                 == [0] * cols
         assert gf2.solve([], 0, [], 0) == []
-        assert gf2.solve(gf2.pack(zeros(2, 0)), 0, gf2.eye(2), 2) is None
+        assert gf2.solve(pack(zeros(2, 0)), 0, gf2.eye(2), 2) is None
 
 
 @st.composite
@@ -343,7 +361,7 @@ class TestIndependent:
     @given(column_sets())
     def test_pivots_are_rrefs(self, case):
         width, vectors = case
-        rows = gf2.pack(gf2.unpack(vectors, width).T)
+        rows = pack(gf2.unpack(vectors, width).T)
         found, dependent = gf2.independent(vectors)
         assert found == gf2.rref(rows, len(vectors))[1]
         assert dependent == [0] * (len(vectors) - len(found))
@@ -354,7 +372,7 @@ class TestIndependent:
         n = len(vectors)
         a = gf2.unpack(vectors, width).T
         ker = gf2.independent(vectors, gf2.eye(n))[1]
-        assert ker == oracle_nullspace(gf2.pack(a), n)
+        assert ker == oracle_nullspace(pack(a), n)
         assert len(ker) == n - rank(a)
         assert not float_matmul(a, gf2.unpack(ker, n).T).any()
 

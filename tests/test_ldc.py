@@ -1,5 +1,6 @@
 """Linear deterministic channel: bounds, constructions, verification."""
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -9,14 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifc_cms import gf2, ldc
-from test_gf2 import float_matmul, oracle_nullspace, rank
+from test_gf2 import float_matmul, oracle_nullspace, pack, rank, shift_matrix
+
+
+def channel_matrix(g, l, i):
+    """The m x m uint8 map S^(m - n[l][i]) from X_i to Y_l."""
+    return shift_matrix(g.m, g.m - g.n[l][i])
+
+
+def packed_scheme(rates, encoders, decoders):
+    """An LdcScheme from uint8 arrays: encoder i m x total_bits, decoder
+    l r_l x m (the inverse of the encoders/decoders views)."""
+    return ldc.LdcScheme(tuple(rates), encoders[0].shape[0],
+                         tuple(pack(np.vstack(encoders).T)),
+                         tuple(tuple(pack(d.T)) for d in decoders))
 
 
 def decode_all(g, s, w):
     """Every decoder's output for the message-word columns w, simulated
     through the channel shift matrices."""
     xs = [float_matmul(e, w) for e in s.encoders]
-    ys = [sum(float_matmul(g.channel_matrix(l, i), xs[i])
+    ys = [sum(float_matmul(channel_matrix(g, l, i), xs[i])
               for i in range(g.k)) % 2 for l in range(g.k)]
     return [float_matmul(d, y) for d, y in zip(s.decoders, ys)]
 
@@ -57,7 +71,7 @@ def entropy_sum(g):
     xbits = ((xs[None, :] >> np.arange(m - 1, -1, -1)[:, None]) & 1)
     weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
     i1, i2, i3 = (i.ravel() for i in np.meshgrid(xs, xs, xs, indexing="ij"))
-    y1, y2, y3 = (weights @ (sum(g.channel_matrix(l, i).astype(np.int64)
+    y1, y2, y3 = (weights @ (sum(channel_matrix(g, l, i).astype(np.int64)
                                  @ xbits[:, idx]
                                  for i, idx in enumerate((i1, i2, i3))) % 2)
                   for l in range(3))
@@ -131,8 +145,8 @@ def small_schemes(draw):
           draw(st.integers(0, a.shape[1] - 1))] ^= 1
     mats[i] = a
     if kind == "decoder":
-        return g, ldc.LdcScheme(s.rates, s.encoders, tuple(mats))
-    return g, ldc.LdcScheme(s.rates, tuple(mats), s.decoders)
+        return g, packed_scheme(s.rates, s.encoders, mats)
+    return g, packed_scheme(s.rates, mats, s.decoders)
 
 
 def unit_counterexample(g, s):
@@ -162,7 +176,7 @@ def flip_one_bit_each(s, rng):
             a[int(rng.integers(a.shape[0])),
               int(rng.integers(a.shape[1]))] ^= 1
             mats[i] = a
-    return ldc.LdcScheme(s.rates, tuple(enc), tuple(dec))
+    return packed_scheme(s.rates, enc, dec)
 
 
 def ldc_algebra_digest():
@@ -207,8 +221,8 @@ def rank_difference_oracle(c, d, a, b):
     m = max(a, b, c, d)
     if m == 0:
         return 0
-    first = np.hstack([gf2.shift_matrix(m, m - a), gf2.shift_matrix(m, m - b)])
-    second = np.hstack([gf2.shift_matrix(m, m - c), gf2.shift_matrix(m, m - d)])
+    first = np.hstack([shift_matrix(m, m - a), shift_matrix(m, m - b)])
+    second = np.hstack([shift_matrix(m, m - c), shift_matrix(m, m - d)])
     return rank(np.vstack([first, second])) - rank(first)
 
 
@@ -289,7 +303,7 @@ def oracle_chain_rank_bound(g):
     k, m = g.k, g.m
     known, total = np.zeros((0, k * m), np.uint8), 0
     for l in range(k):
-        y = np.hstack([g.channel_matrix(l, i) for i in range(k)])
+        y = np.hstack([channel_matrix(g, l, i) for i in range(k)])
         total += rank(np.vstack([known, y])) - rank(known)
         x = np.eye(m, k * m, l * m, dtype=np.uint8)
         known = np.vstack([known, y, x])
@@ -360,6 +374,40 @@ class TestSymScheme:
         s = ldc.build_sym_scheme(2, 1, 3)
         assert s.rates == (2, 2, 1)
 
+    def test_views_match_array_oracle(self):
+        for k, nd, ni in itertools.product(range(2, 9), range(9), range(9)):
+            s = ldc.build_sym_scheme(nd, ni, k)
+            rates, enc, dec = oracle_sym_scheme(nd, ni, k)
+            assert s.rates == rates, (nd, ni, k)
+            assert_same_arrays(s.encoders + s.decoders, enc + dec)
+            assert s == packed_scheme(rates, enc, dec), (nd, ni, k)
+
+
+class TestSchemeValue:
+    def test_equal_schemes_compare_and_hash_equal(self):
+        s, t = ldc.build_sym_scheme(2, 1, 3), ldc.build_sym_scheme(2, 1, 3)
+        assert s == t and hash(s) == hash(t)
+        assert len({s, t, ldc.build_sym_scheme(1, 2, 3)}) == 2
+        g = ldc.LdcGains.from_matrix([[3, 1, 2], [0, 4, 1], [2, 2, 5]])
+        c = ldc.build_chain_scheme(g)
+        assert c == ldc.build_chain_scheme(g)
+        assert hash(c) == hash(ldc.build_chain_scheme(g))
+        assert flip_one_bit_each(c, np.random.default_rng(0)) != c
+        assert c != s
+
+    def test_views_are_cached_read_only_uint8(self):
+        s = ldc.build_chain_scheme(ldc.LdcGains.from_matrix(
+            [[3, 1, 2], [0, 4, 1], [2, 2, 5]]))
+        assert s.encoders is s.encoders and s.decoders is s.decoders
+        assert [e.shape for e in s.encoders] == [(5, 10)] * 3
+        assert s.rates == (3, 4, 3)
+        assert [d.shape for d in s.decoders] == [(3, 5), (4, 5), (3, 5)]
+        assert {a.dtype for a in s.encoders + s.decoders} \
+            == {np.dtype(np.uint8)}
+        for a in s.encoders + s.decoders:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+
 
 class TestGenericScheme3:
     @pytest.mark.parametrize("n", [
@@ -396,7 +444,7 @@ def square_gains(draw, top=5):
 
 
 def transpose(rows, width):
-    return gf2.pack(gf2.unpack(rows, width).T)
+    return pack(gf2.unpack(rows, width).T)
 
 
 def oracle_chain_scheme(g):
@@ -412,7 +460,7 @@ def oracle_chain_scheme(g):
         img = ldc._receive(g, l, ker)
         cols = gf2.rref(img, dim)[1]
         r = len(cols)
-        v = gf2.pack(gf2.unpack(ker, dim)[:, cols])
+        v = pack(gf2.unpack(ker, dim)[:, cols])
         b_t = transpose(ldc._receive(g, l, v), r)
         d = transpose(gf2.solve(b_t, m, gf2.eye(r), r), r)
         upd = gf2.mul(v, gf2.mul(d, ldc._receive(g, l, enc)))
@@ -423,18 +471,70 @@ def oracle_chain_scheme(g):
             null = oracle_nullspace(img + ker[l * m:(l + 1) * m], dim)
             ker, dim = gf2.mul(ker, transpose(null, dim)), len(null)
     enc = gf2.unpack(enc, sum(rates))
-    return ldc.LdcScheme(rates=tuple(rates),
-                         encoders=tuple(enc[i * m:(i + 1) * m]
-                                        for i in range(k)),
-                         decoders=tuple(decoders))
+    return packed_scheme(rates, [enc[i * m:(i + 1) * m] for i in range(k)],
+                         decoders)
+
+
+def assert_same_arrays(arrays, others):
+    for a, b in zip(arrays, others, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) \
+            == (b.dtype, b.shape, b.tobytes())
 
 
 def assert_same_scheme(s, t):
+    assert s == t
     assert s.rates == t.rates
-    for a, b in zip(s.encoders + s.decoders, t.encoders + t.decoders,
-                    strict=True):
-        assert (a.dtype, a.shape, a.tobytes()) \
-            == (b.dtype, b.shape, b.tobytes())
+    assert_same_arrays(s.encoders + s.decoders, t.encoders + t.decoders)
+
+
+def oracle_sym_scheme(nd, ni, k):
+    """build_sym_scheme as uint8 arrays (rates, encoders, decoders), built
+    the way it was before schemes were held packed: eye, hstack and the
+    decoder as a sum of shift matrices."""
+    if nd == ni:
+        m, eye = nd, np.eye(nd, dtype=np.uint8)
+        return ((m,) + (0,) * (k - 1),
+                (eye,) + (np.zeros((m, m), np.uint8),) * (k - 1),
+                (eye,) + (np.zeros((0, m), np.uint8),) * (k - 1))
+    m, t = max(nd, ni), max(0, nd - ni)
+    total = (k - 1) * m + t
+    encoders = [np.eye(m, total, j * m, dtype=np.uint8) for j in range(k - 1)]
+    b_top = np.diag(np.arange(m) < ni).astype(np.uint8)
+    encoders.append(np.hstack([b_top] * (k - 1)
+                              + [np.eye(m, t, -ni, dtype=np.uint8)]))
+    dec_all = sum(shift_matrix(m, j) for j in range(0, m, abs(nd - ni)))
+    decoders = [dec_all.copy() for _ in range(k - 1)]
+    decoders.append(dec_all[ni:ni + t].copy())
+    return (m,) * (k - 1) + (t,), tuple(encoders), tuple(decoders)
+
+
+def oracle_verify_scheme(g, s):
+    """verify_scheme on the uint8 views, the way it ran before schemes
+    were held packed: the stacked encoders and decoders packed into
+    rows, the channel a row shift, the leftmost wrong column reported."""
+    total = s.total_bits
+    enc = pack(np.vstack(s.encoders) & 1)
+    dec = pack(np.vstack(s.decoders) & 1)
+    for l, off in enumerate(s.offsets):
+        got = gf2.mul(dec[off:off + s.rates[l]], ldc._receive(g, l, enc))
+        lead = max(((row ^ 1 << total - 1 - off - q).bit_length()
+                    for q, row in enumerate(got)), default=0)
+        if lead:
+            j = total - lead
+            msgs = tuple(tuple(int(b == j) for b in
+                               range(total)[s.message_slice(u)])
+                         for u in range(g.k))
+            cex = (msgs, l, tuple(row >> total - 1 - j & 1 for row in got))
+            return ldc.VerificationReport(False, "exhaustive", 1 << total,
+                                          cex)
+    return ldc.VerificationReport(True, "exhaustive", 1 << total)
+
+
+def oracle_respects_cms(s):
+    """respects_cms on the uint8 encoders: encoder i has no nonzero
+    column on the messages of users after i."""
+    return not any(e[:, off + r:].any()
+                   for e, off, r in zip(s.encoders, s.offsets, s.rates))
 
 
 def cap_gains(k, m, seed):
@@ -509,8 +609,7 @@ class TestVerifyScheme:
         d0 = bad_dec[0].copy()
         d0[0, 0] ^= 1
         bad_dec[0] = d0
-        broken = ldc.LdcScheme(rates=s.rates, encoders=s.encoders,
-                               decoders=tuple(bad_dec))
+        broken = packed_scheme(s.rates, s.encoders, bad_dec)
         report = ldc.verify_scheme(g, broken, mode="exhaustive")
         assert not report.passed
         assert report.counterexample is not None
@@ -525,8 +624,7 @@ class TestVerifyScheme:
         e1 = bad_enc[1].copy()
         e1[:, :] = 0
         bad_enc[1] = e1
-        broken = ldc.LdcScheme(rates=s.rates, encoders=tuple(bad_enc),
-                               decoders=s.decoders)
+        broken = packed_scheme(s.rates, bad_enc, s.decoders)
         report = ldc.verify_scheme(g, broken)
         assert not report.passed
         assert_real_counterexample(g, broken, report.counterexample)
@@ -552,12 +650,44 @@ class TestVerifyScheme:
                               mode="sampled")
 
     def test_rejects_bad_decoder_shape(self):
+        # m = 2 decoder columns per user, rates (2, 2, 1)
         g = ldc.LdcGains.symmetric(2, 1, 3)
         s = ldc.build_sym_scheme(2, 1, 3)
-        broken = ldc.LdcScheme(rates=s.rates, encoders=s.encoders,
-                               decoders=(s.decoders[0][:1],) + s.decoders[1:])
-        with pytest.raises(ValueError):
-            ldc.verify_scheme(g, broken)
+        d = s.decoder_columns
+        for bad in ((d[0][:1],) + d[1:],               # m - 1 columns
+                    (d[0] + (0,),) + d[1:],            # m + 1 columns
+                    d[:2],                             # a decoder short
+                    d[:2] + ((2, 0),),                 # 2 bits at rate 1
+                    d[:2] + ((-1, 0),)):
+            with pytest.raises(ValueError, match="dimensions"):
+                ldc.verify_scheme(g, dataclasses.replace(
+                    s, decoder_columns=bad))
+
+    def test_rejects_bad_encoder_shape(self):
+        g = ldc.LdcGains.symmetric(2, 1, 3)
+        s = ldc.build_sym_scheme(2, 1, 3)
+        c = s.columns
+        # K*m = 6 bits per column
+        for bad in (c[:-1], c + (0,), c[:-1] + (1 << 6,), c[:-1] + (-1,)):
+            with pytest.raises(ValueError, match="dimensions"):
+                ldc.verify_scheme(g, dataclasses.replace(s, columns=bad))
+        with pytest.raises(ValueError, match="dimensions"):
+            ldc.verify_scheme(g, dataclasses.replace(s, m=3))
+
+    @given(small_schemes())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_form_oracle(self, case):
+        g, s = case
+        assert ldc.verify_scheme(g, s) == oracle_verify_scheme(g, s)
+
+    @pytest.mark.parametrize("k,m", [(4, 60), (8, 32), (2, 128)])
+    def test_matches_row_form_oracle_at_the_cap(self, k, m):
+        rng = np.random.default_rng(k * m)
+        for seed in range(3):
+            g = cap_gains(k, m, seed)
+            s = ldc.build_chain_scheme(g)
+            for t in [s] + [flip_one_bit_each(s, rng) for _ in range(5)]:
+                assert ldc.verify_scheme(g, t) == oracle_verify_scheme(g, t)
 
     @given(small_schemes())
     @settings(max_examples=150, deadline=None)
@@ -675,6 +805,30 @@ class TestCmsConstraint:
         e0 = bad[0].copy()
         e0[0, -1] = 1  # transmitter 1 touching user 3's message
         bad[0] = e0
-        broken = ldc.LdcScheme(rates=s.rates, encoders=tuple(bad),
-                               decoders=s.decoders)
+        broken = packed_scheme(s.rates, bad, s.decoders)
         assert not broken.respects_cms()
+
+    @given(small_schemes())
+    @settings(max_examples=200, deadline=None)
+    def test_mask_matches_array_check(self, case):
+        _, s = case
+        assert s.respects_cms() == oracle_respects_cms(s)
+
+    @pytest.mark.parametrize("n", [[[4, 2, 2], [2, 4, 2], [2, 2, 4]],
+                                   [[3, 1, 2], [0, 4, 1], [2, 2, 5]],
+                                   [[2, 1, 0, 2], [0, 2, 1, 1],
+                                    [1, 0, 2, 2], [2, 2, 1, 2]]])
+    def test_mask_matches_array_check_on_every_bit_flip(self, n):
+        g = ldc.LdcGains.from_matrix(n)
+        for s in (ldc.build_chain_scheme(g),
+                  ldc.build_sym_scheme(g.n[0][0], g.n[0][1], g.k)):
+            flips = 0
+            for i, e in enumerate(s.encoders):
+                for r, c in itertools.product(*map(range, e.shape)):
+                    enc = list(s.encoders)
+                    enc[i] = e.copy()
+                    enc[i][r, c] ^= 1
+                    t = packed_scheme(s.rates, enc, s.decoders)
+                    assert t.respects_cms() == oracle_respects_cms(t)
+                    flips += not t.respects_cms()
+            assert flips > 0
