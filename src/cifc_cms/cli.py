@@ -347,7 +347,9 @@ OPTIONS = {
                          **_ALPHA,
                          "budget": ("0", _at_least(0, int),
                                     "numeric-optimization evaluations per "
-                                    "point (0 = analytic only)")}),
+                                    "point (0 = analytic only; at k = 3, "
+                                    "outer_opt is outer_analytic below 350, "
+                                    "or 300 where INR < 1)")}),
     "gdof-curves": ("gDoF model-comparison curves, optionally with "
                     "empirical slope fits", {
                         "models": (",".join(gdof.MODELS), _models,

@@ -66,10 +66,12 @@ class GaussianSymChannel:
     k: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.hd) and cmath.isfinite(self.hi)):
+            raise ValueError("gains must be finite")
         if self.hd < 0:
             raise ValueError("direct gain must be non-negative")
-        if self.k < 2:
-            raise ValueError("need at least 2 users")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
+            raise ValueError("need an integer k of at least 2 users")
 
     @classmethod
     def from_snr_alpha(cls, snr_db: float, alpha: float,
@@ -155,7 +157,12 @@ def dpc_rates(ch: GaussianSymChannel, p: DpcParams) -> RateVector:
     1 -> 2 -> ... -> K).  Raises PowerConstraintViolated on infeasible
     parameters."""
     p.validate(ch.k)
-    return RateVector(tuple(_rates(ch)(p.alpha[1:], p.beta, p.gamma)))
+    rates = _rates(ch)(p.alpha[1:], p.beta, p.gamma)
+    if p.alpha[0] != _primary_phase(ch.hi):  # _rates assumes this alpha_1
+        den1 = 1.0 + ch.inr * _add(abs(g) ** 2 for g in p.gamma)
+        rates[0] = _log2p1(abs(ch.hd * p.alpha[0]
+                               + ch.hi * _add(p.alpha[1:], 0j)) ** 2 / den1)
+    return RateVector(tuple(rates))
 
 
 def _add(terms, start=0.0):
@@ -308,6 +315,8 @@ class ChannelGrid:
 
     def __init__(self, k: int, hd, hi):
         self.k, self.hd, self.hi = k, np.asarray(hd, float), np.asarray(hi)
+        if not (np.isfinite(self.hd).all() and np.isfinite(self.hi).all()):
+            raise ValueError("gains must be finite")
         self.hi_mag = _abs_each(self.hi)
         self.hd2 = _pow_each(self.hd, 2.0)
         self.hi2 = _pow_each(self.hi_mag, 2.0)
@@ -480,12 +489,10 @@ def _full_power_rate(ch: GaussianSymChannel):
     return objective
 
 
-def _random_feasible(ch: GaussianSymChannel,
+def _random_feasible(copies: list[float],
                      rng: np.random.Generator) -> np.ndarray:
-    k = ch.k
-    copies = _zf_copies(k)
-    beta = rng.uniform(0, 1.0 / math.sqrt(copies[-1]) if k > 2 else 0.0)
-    x = np.empty(k)
+    beta = rng.uniform(0, 1.0 / math.sqrt(copies[-1]) if copies[-1] else 0.0)
+    x = np.empty(len(copies) + 1)
     x[0] = beta
     for j, c in enumerate(copies, start=1):
         room = max(0.0, 1.0 - c * beta ** 2)
@@ -503,20 +510,18 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
-def _free_to_x(k: int, z: np.ndarray) -> np.ndarray:
+def _free_to_x(copies: list[float], z: np.ndarray) -> np.ndarray:
     """Unconstrained R^K -> feasible x: z[0] sets |beta|^2 as a fraction
     of its cap, z[j - 1] sets |gamma_j|^2 as a fraction of transmitter
     j's room, so the power constraints hold by construction."""
     b_frac, *g_frac = _sigmoid(np.asarray(z, dtype=float)).tolist()
-    copies = _zf_copies(k)
     b2 = b_frac / max(copies[-1], 1.0)
     return np.sqrt([b2] + [f * max(1.0 - c * b2, 0.0)
                            for f, c in zip(g_frac, copies)])
 
 
-def _x_to_free(k: int, x: np.ndarray) -> np.ndarray:
+def _x_to_free(copies: list[float], x: np.ndarray) -> np.ndarray:
     """Inverse of _free_to_x, up to clipping (for warm starts)."""
-    copies = _zf_copies(k)
     beta, *gamma = x.tolist()
     b2 = beta ** 2
     return np.array([_logit(b2 * max(copies[-1], 1.0))]
@@ -535,6 +540,38 @@ class _Budget:
         self.used += 1
         return True
 
+    def charged(self, fun):
+        """fun, spending one evaluation per call; a call past the limit
+        raises StopIteration."""
+        def call(x):
+            if not self.spend():
+                raise StopIteration
+            return fun(x)
+        return call
+
+
+def _polish(fun, starts, best, best_x, maxfev, xatol, fatol):
+    """Nelder-Mead on the charged fun from each start in turn, maxfev
+    evaluations each: (best, best_x) raised to the largest -fun found
+    and its point.  The budget running out ends the search."""
+    from scipy.optimize import minimize  # 0.3 s; only the optimizers need it
+    opts = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
+    try:
+        for x0 in starts:
+            res = minimize(fun, x0, method="Nelder-Mead", options=opts)
+            if -res.fun > best:
+                best, best_x = float(-res.fun), res.x
+    except StopIteration:
+        pass
+    return best, best_x
+
+
+def _warm_params(ch: GaussianSymChannel) -> list[DpcParams]:
+    """The closed-form warm starts: the coherent choice where |hi|^2 >= 1,
+    then the successive one."""
+    return ([closed_form_params(ch)] if ch.inr >= 1.0 else []) + [
+        successive_params(ch)]
+
 
 def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
                    seed: int = 0) -> tuple[DpcParams, float]:
@@ -545,7 +582,6 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     The closed-form choices are always among the starts, so the result
     is never below the closed-form inner bound.
     """
-    from scipy.optimize import minimize  # 0.3 s; only the optimizers need it
     if budget < 1:
         raise ValueError("budget must be >= 1")
     k = ch.k
@@ -555,11 +591,10 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     objective = _full_power_rate(ch)
 
     # The closed-form choices, then x = 0: all cognitive power beamforms.
-    closed = [closed_form_params(ch)] if ch.inr >= 1.0 else []
     starts = [np.array([abs(p.beta), *map(abs, p.gamma)])
-              for p in closed + [successive_params(ch)]] + [np.zeros(k)]
+              for p in _warm_params(ch)] + [np.zeros(k)]
     while len(starts) < 16:
-        starts.append(_random_feasible(ch, rng))
+        starts.append(_random_feasible(copies, rng))
 
     evaluated = [(objective(x), i) for i, x in enumerate(starts)]
     best_val, best_i = max(evaluated)
@@ -612,41 +647,15 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
             if budget_ctr.used >= ascent_budget:
                 break
 
-    def free_obj(z: np.ndarray) -> float:
-        if not budget_ctr.spend():
-            raise StopIteration
-        return -objective(_free_to_x(k, z))
-
-    polish_starts = [best_x.copy()] + starts[:3]
-    per_start = max((budget - budget_ctr.used) // (len(polish_starts) + 1),
-                    40)
-    incumbent = _x_to_free(k, best_x)
-    for x0 in polish_starts:
-        if budget_ctr.used >= budget:
-            break
-        try:
-            res = minimize(free_obj, _x_to_free(k, x0),
-                           method="Nelder-Mead",
-                           options={"maxfev": per_start,
-                                    "xatol": 1e-8, "fatol": 1e-11})
-        except StopIteration:
-            break
-        xv = _free_to_x(k, res.x)
-        val = objective(xv)
-        if val > best_val:
-            best_val, best_x, incumbent = val, xv, res.x
-    if budget_ctr.used < budget:
-        try:
-            res = minimize(free_obj, incumbent, method="Nelder-Mead",
-                           options={"maxfev": budget - budget_ctr.used,
-                                    "xatol": 1e-9, "fatol": 1e-12})
-            xv = _free_to_x(k, res.x)
-            val = objective(xv)
-            if val > best_val:
-                best_val, best_x = val, xv
-        except StopIteration:
-            pass
-
+    neg = budget_ctr.charged(lambda z: -objective(_free_to_x(copies, z)))
+    zs = [_x_to_free(copies, x0) for x0 in [best_x] + starts[:3]]
+    per_start = max((budget - budget_ctr.used) // (len(zs) + 1), 40)
+    val, z = _polish(neg, zs, best_val, zs[0], per_start, 1e-8, 1e-11)
+    if budget_ctr.used < budget:  # restart from the incumbent
+        val, z = _polish(neg, [z], val, z, budget - budget_ctr.used,
+                         1e-9, 1e-12)
+    if val > best_val:
+        best_val, best_x = val, _free_to_x(copies, z)
     return _full_power(ch, best_x), best_val
 
 
@@ -738,12 +747,16 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     their factor; warm starts (inner_hint, closed-form DPC) are lifted
     to unit diagonal, which can only raise the bound.  The maximum at
     each noise point is a budgeted Nelder-Mead search, not a
-    certificate: a longer search can find more.  The result is capped
-    at outer_sum.  Every noise point evaluates the lifted inner_hint, so
-    a result below dpc_rates(ch, inner_hint).total is a bug and raises
-    GapExceeded; an infeasible inner_hint raises PowerConstraintViolated.
+    certificate: a longer search can find more.  The noise screen costs
+    one evaluation per start at each of its 49 points (343 with an
+    inner_hint where |hi|^2 >= 1); a noise point the budget cannot fully
+    start counts as +inf, so at budget 500 (50 dB, alpha 0.75) only the
+    screen's first pick is maximized, and the result is not monotone in
+    the budget.  The result is capped at outer_sum.  Every noise point
+    evaluates the lifted inner_hint, so a result below dpc_rates(ch,
+    inner_hint).total is a bug and raises GapExceeded; an infeasible
+    inner_hint raises PowerConstraintViolated.
     """
-    from scipy.optimize import minimize
     if ch.k != 3:
         raise ValueError("optimize_outer implemented for k == 3 only")
     if budget < 1:
@@ -755,10 +768,8 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     sigma_starts = [np.eye(3, dtype=complex),
                     np.full((3, 3), 0.999, dtype=complex)
                     + 0.001 * np.eye(3)]
-    for prm in filter(None, [inner_hint,
-                             closed_form_params(ch) if ch.inr >= 1 else None,
-                             successive_params(ch)]):
-        sigma_starts.append(input_covariance(prm, 3))
+    hints = [] if inner_hint is None else [inner_hint]
+    sigma_starts += [input_covariance(p, 3) for p in hints + _warm_params(ch)]
     start_vecs = [_vec_from_sigma(s) for s in sigma_starts]
     start_vecs += [rng.normal(scale=0.5, size=8) for _ in range(2)]
     start_factors = np.array([_factor_from_vec(x0) for x0 in start_vecs])
@@ -772,39 +783,21 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
 
     def max_over_sigma(noise: np.ndarray, maxfev: int) -> float:
         bound = _chain_bound(h, noise)
-
-        def neg(x: np.ndarray) -> float:
-            if not budget_ctr.spend():
-                raise StopIteration
-            return -bound(_factor_from_vec(x)).item()
-
         vals = start_values(bound)
         if len(vals) < len(start_vecs):
             # Budget-starved points are under-maximized; report +inf
             # so the outer min over noise never selects them.
             return math.inf
+        neg = budget_ctr.charged(lambda x: -bound(_factor_from_vec(x)).item())
         best = max(vals)
-        best_x = start_vecs[vals.index(best)]
         per_start = max(40, maxfev // (len(start_vecs) + 1))
-        for x0 in start_vecs:
-            try:
-                res = minimize(neg, x0, method="Nelder-Mead",
-                               options={"maxfev": per_start,
-                                        "xatol": 1e-5, "fatol": 1e-9})
-                if -res.fun > best:
-                    best, best_x = -res.fun, res.x
-            except StopIteration:
-                return best
+        best, best_x = _polish(neg, start_vecs, best,
+                               start_vecs[vals.index(best)], per_start,
+                               1e-5, 1e-9)
         # Restart from the incumbent: Nelder-Mead shrinks its simplex,
         # and a fresh simplex around the best point often escapes it.
-        try:
-            res = minimize(neg, best_x, method="Nelder-Mead",
-                           options={"maxfev": per_start,
-                                    "xatol": 1e-6, "fatol": 1e-10})
-            best = max(best, -res.fun)
-        except StopIteration:
-            pass
-        return best
+        return _polish(neg, [best_x], best, best_x, per_start,
+                       1e-6, 1e-10)[0]
 
     # Coarse screen over noise correlations with cheap fixed-start
     # evaluation, keeping the independent-noise point.

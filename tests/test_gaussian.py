@@ -102,6 +102,37 @@ class TestChannel:
         with pytest.raises(ValueError):
             gaussian.GaussianSymChannel(hd=-1.0, hi=0j, k=3)
 
+    @pytest.mark.parametrize("hd,hi", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, complex(math.inf)),
+        (1.0, complex(0.0, math.nan)), (1.0, math.nan)])
+    def test_rejects_non_finite_gains(self, hd, hi):
+        # a NaN gain made outer_sum NaN and the certificate's gap check
+        # (NaN > bound) pass silently
+        with pytest.raises(ValueError, match="finite"):
+            gaussian.GaussianSymChannel(hd, hi, 3)
+
+    @pytest.mark.parametrize("k", [3.5, 3.0, "3"])
+    def test_rejects_non_integral_user_count(self, k):
+        with pytest.raises(ValueError, match="integer"):
+            gaussian.GaussianSymChannel(1.0, 1.0, k)
+
+    def test_accepts_numpy_integer_user_count(self):
+        ch = gaussian.GaussianSymChannel(1.0, 0.5, np.int64(3))
+        assert gaussian.outer_sum(ch) == gaussian.outer_sum(
+            gaussian.GaussianSymChannel(1.0, 0.5, 3))
+
+    @pytest.mark.parametrize("hd,hi", [
+        ([3.0, math.nan], [1.0, 1.0]), ([3.0, math.inf], [1.0, 1.0]),
+        ([3.0, 3.0], [1.0, math.nan]),
+        ([3.0, 3.0], [1.0, complex(0.0, math.inf)])])
+    def test_grid_rejects_non_finite_gains(self, hd, hi):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian.ChannelGrid(3, hd, hi)
+
+    def test_grid_from_snr_alpha_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian.ChannelGrid.from_snr_alpha([10.0, math.nan], 1.0, 3)
+
 
 class TestOuterSum:
     def test_mac_value(self):
@@ -150,6 +181,28 @@ class TestDpcRates:
                                gamma=(0.5 + 0j, 0.5 + 0j))
         with pytest.raises(gaussian.PowerConstraintViolated):
             gaussian.dpc_rates(ch, p)
+
+    @pytest.mark.parametrize("a1,expected", [
+        (0j, 9.3825), (-1 + 0j, 8.2878), (0.5 + 0j, 9.8056), (1 + 0j, 10.1746)])
+    def test_rate_1_uses_transmitter_1_coefficient(self, a1, expected):
+        # receiver 1 hears hd a_1 + hi (a_2 + ... + a_K) over the private
+        # streams; a_1 = 1 is closed_form_params' own choice
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
+        p = gaussian.closed_form_params(ch)
+        p = gaussian.DpcParams((a1,) + p.alpha[1:], p.beta, p.gamma)
+        assert gaussian.dpc_rates(ch, p).rates[0] == pytest.approx(
+            expected, abs=5e-5)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.7, math.pi])
+    def test_rate_1_with_rotated_coefficient_on_complex_gain(self, turn):
+        ch = phased(30.0, 1.5, 1.0)
+        p = gaussian.closed_form_params(ch)
+        a1 = p.alpha[0] * cmath.exp(1j * turn)
+        p = gaussian.DpcParams((a1,) + p.alpha[1:], p.beta, p.gamma)
+        signal = abs(ch.hd * a1 + ch.hi * sum(p.alpha[1:])) ** 2
+        noise = 1.0 + abs(ch.hi) ** 2 * sum(abs(g) ** 2 for g in p.gamma)
+        assert gaussian.dpc_rates(ch, p).rates[0] == pytest.approx(
+            log2p1(signal / noise), rel=1e-12)
 
 
 class TestClosedFormParams:
@@ -938,6 +991,35 @@ class TestOptimizers:
         if outer is not None:
             assert repr(gaussian.optimize_outer(
                 ch, budget=500, seed=0, inner_hint=params)) == outer
+
+    # Exact results where the budget cuts a search short: the polish
+    # (inner, at budgets 1, 60 and 300), a noise point's Nelder-Mead
+    # starts (outer, at budgets 350 and 1500), computed before the two
+    # optimizers shared one budgeted Nelder-Mead helper.
+    @pytest.mark.parametrize("k,snr_db,alpha,phase,budget,inner", [
+        (3, 50.0, 0.75, None, 1, "34.773461133150796"),
+        (3, 50.0, 0.75, None, 60, "34.829127262921226"),
+        (3, 50.0, 0.75, None, 300, "34.92877405322175"),
+        (3, 30.0, 1.5, 1.0, 300, "29.99167272340295"),
+        (4, 20.0, 1.5, None, 300, "27.576328215321272"),
+        (2, 30.0, 1.5, None, 500, "15.420966919308004"),
+        (2, 20.0, 0.5, 1.0, 60, "10.36881460497082")])
+    def test_budget_limited_inner_pin(self, k, snr_db, alpha, phase, budget,
+                                      inner):
+        ch = channel(k, snr_db, alpha, phase)
+        _, val = gaussian.optimize_inner(ch, budget=budget, seed=0)
+        assert repr(val) == inner
+
+    @pytest.mark.parametrize("phase,budget,hint,outer", [
+        (None, 350, True, "35.10698149172679"),
+        (None, 1500, True, "35.22576109564475"),
+        (None, 500, False, "34.92255403053505"),
+        (1.0, 500, False, "35.51443566414554")])
+    def test_budget_limited_outer_pin(self, phase, budget, hint, outer):
+        ch = channel(3, 50.0, 0.75, phase)
+        p, _ = gaussian.optimize_inner(ch, budget=500, seed=0)
+        assert repr(gaussian.optimize_outer(
+            ch, budget=budget, seed=0, inner_hint=p if hint else None)) == outer
 
     def test_outer_below_inner_hint_raises(self, monkeypatch):
         ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cifc_cms import gdof
+from cifc_cms import gdof, ldc
 
 
 class TestClosedForms:
@@ -82,3 +82,15 @@ class TestEmpiricalSlopes:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             gdof.empirical_gdof(3, 0.5, [40.0])
+
+
+class TestMatchesLdc:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_gdof_times_n_is_symmetric_ldc_capacity(self, k):
+        # the LDC with nd = n, ni = alpha n is the Gaussian channel's
+        # high-SNR model; at ni = n it is the MAC, the discontinuity
+        for n in range(1, 13):
+            for ni in range(3 * n + 1):
+                d = gdof.gdof_cms(ni / n, k, discontinuity=ni == n)
+                cap = ldc.ldc_k_sym_sum_capacity(n, ni, k).value
+                assert d * n == pytest.approx(cap, abs=1e-9), (n, ni)
