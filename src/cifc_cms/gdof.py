@@ -12,6 +12,7 @@ used.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,13 @@ class SlopeEstimate:
 
 
 def _check(alpha: float, k: int) -> None:
-    if alpha < 0 or k < 2:
-        raise ValueError("need alpha >= 0 and k >= 2")
+    """A finite alpha >= 0 and an integral k >= 2, so NaN fails."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        k = 0
+    if not (0 <= alpha < math.inf) or k < 2:
+        raise ValueError("need a finite alpha >= 0 and an integer k >= 2")
 
 
 def gdof_cms(alpha: float, k: int, discontinuity: bool = False) -> float:
@@ -122,6 +128,8 @@ def empirical_gdof_curve(k: int, alphas,
     snr_dbs = [float(s) for s in snr_db_list]
     if len(snr_dbs) < 2:
         raise ValueError("need at least two SNR points for a slope fit")
+    for alpha in alphas:
+        _check(alpha, k)
     if any(abs(alpha - 1.0) < FIT_EXCLUSION for alpha in alphas):
         raise ValueError("slope fit is ill-posed in the alpha = 1 "
                          "discontinuity neighborhood")

@@ -2,28 +2,17 @@
 
 A matrix is a list of ints, its other dimension beside it: packed rows
 (column 0 in the top bit) or vectors as columns (row 0 in the top bit),
-so a row or column operation is one XOR.  rref and solve take rows,
-independent takes columns, and mul takes either: a @ b on rows, or the
-columns of A @ B from those of B and A as a and b.  unpack turns rows
-into a uint8 {0, 1} array.  Bit index 1 is the most significant
-position and maps to array row 0, so the channel's shift S^k pushes
-bits toward larger indices (down the vector) and discards anything
-shifted past the last position.
+so a row or column operation is one XOR.  solve takes rows, independent
+takes columns, and mul takes either: a @ b on rows, or the columns of
+A @ B from those of B and A as a and b.  Bit index 1 is the most
+significant position, so the channel's shift S^k pushes bits toward
+larger indices (down the vector) and discards anything shifted past
+the last position.
 
 All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-
-def unpack(rows: list[int], width: int) -> np.ndarray:
-    """The rows as a len(rows) x width uint8 {0, 1} array."""
-    nbytes, pad = -(-width // 8), -width % 8
-    data = b"".join([(r << pad).to_bytes(nbytes, "big") for r in rows])
-    return np.unpackbits(np.frombuffer(data, np.uint8).reshape(
-        len(rows), nbytes), axis=1, count=width)
 
 
 def eye(n: int) -> list[int]:
@@ -44,52 +33,43 @@ def mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def rref(rows: list[int], width: int) -> tuple[list[int], list[int]]:
-    """The nonzero rows of the reduced row echelon form, top down, and
-    their pivot columns; both are unique, and the pivot count is the
-    rank."""
-    lead: dict[int, int] = {}    # leading bit -> row with that leading bit
-    for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            b = lead.get(top)
-            if b is None:
-                lead[top] = r
-                break
-            r ^= b
-    done = 0                     # pivot bits of the rows already reduced
-    for p in sorted(lead):       # rightmost pivot first
-        r, t = lead[p], lead[p] & done
-        while t:                 # lead[q] has no other pivot bit
-            q = t.bit_length() - 1
-            r ^= lead[q]
-            t ^= 1 << q
-        lead[p] = r
-        done |= 1 << p
-    bits = sorted(lead, reverse=True)
-    return [lead[p] for p in bits], [width - 1 - p for p in bits]
-
-
 def solve(a: list[int], n: int, b: list[int], p: int) -> list[int] | None:
     """A solution x (n rows, p bits wide) of a @ x == b, where a is n
     bits wide and b p bits wide, with the free variables set to zero;
-    None when the system is inconsistent."""
-    rows, pivots = rref([ra << p | rb for ra, rb in zip(a, b)], n + p)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = [0] * n
-    for r, c in zip(rows, pivots):
-        x[c] = r & ~(-1 << p)
+    None when the system is inconsistent.  x[c] is the low p bits of
+    the reduced row of [a | b] with pivot column c."""
+    lead: dict[int, int] = {}    # leading bit -> row with that leading bit
+    for ra, rb in zip(a, b):
+        r = ra << p | rb
+        while r:
+            top = r.bit_length() - 1
+            if top < p:          # the row reads 0 = a nonzero part of b
+                return None
+            q = lead.get(top)
+            if q is None:
+                lead[top] = r
+                break
+            r ^= q
+    x, done, low = [0] * n, 0, (1 << p) - 1
+    for t in sorted(lead):       # rightmost pivot first
+        r, s = lead[t], lead[t] & done
+        while s:                 # lead[q] has no other pivot bit
+            q = s.bit_length() - 1
+            r ^= lead[q]
+            s ^= 1 << q
+        lead[t] = r
+        done |= 1 << t
+        x[n + p - 1 - t] = r & low
     return x
 
 
 def independent(vectors: list[int], tags: list[int] | None = None
                 ) -> tuple[list[int], list[int]]:
     """Greedy elimination of columns in order: the indices of the vectors
-    independent of all before them (rref's pivots), and for each other
-    vector its tag XORed with the tags of the earlier ones it is the sum
-    of.  That sum is unique, so tags eye(len(vectors)) give rref's
-    kernel basis.  tags default to 0."""
+    independent of all before them (the pivot columns of the matrix they
+    form), and for each other vector its tag XORed with the tags of the
+    earlier ones it is the sum of.  That sum is unique, so tags
+    eye(len(vectors)) give a kernel basis.  tags default to 0."""
     tags = tags or [0] * len(vectors)
     w = max(map(int.bit_length, tags), default=0)
     low = (1 << w) - 1           # the tag rides below the vector

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-import numpy as np
-
 from . import gf2
 
 
@@ -29,25 +27,24 @@ class LdcGains:
     n: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = len(self.n)
-        if k == 0:
+        try:         # ints and numpy integers pass; floats are not rounded
+            n = tuple(tuple(map(operator.index, row)) for row in self.n)
+        except TypeError:
+            raise ValueError("gains must be non-negative integers") from None
+        if not n:
             raise ValueError("gain matrix must be non-empty")
-        for row in self.n:
-            if len(row) != k:
+        for row in n:
+            if len(row) != len(n):
                 raise ValueError("gain matrix must be square")
-            for v in row:
-                if not isinstance(v, (int, np.integer)) or v < 0:
-                    raise ValueError("gains must be non-negative integers")
+            if min(row, default=0) < 0:
+                raise ValueError("gains must be non-negative integers")
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_matrix(cls, rows) -> "LdcGains":
         """Gains from nested rows of ints or numpy integers; any other
         entry (a float, a string) raises, it is never rounded."""
-        try:
-            return cls(tuple(tuple(operator.index(v) for v in r)
-                             for r in rows))
-        except TypeError:
-            raise ValueError("gains must be non-negative integers") from None
+        return cls(rows)
 
     @classmethod
     def symmetric(cls, nd: int, ni: int, k: int) -> "LdcGains":
@@ -111,8 +108,7 @@ class LdcScheme:
     r_K bits, user 1 first), its image in the stacked inputs (X_1, ...,
     X_K), X_1 in the top bits.  decoder_columns: per user l, the m
     columns of decoder l (channel output to user l's bits), r_l-bit
-    ints.  encoders (m x total_bits) and decoders (r_l x m) are the
-    same maps as uint8 arrays, derived on first use.
+    ints.
     """
 
     rates: tuple[int, ...]
@@ -131,22 +127,6 @@ class LdcScheme:
     def message_slice(self, user: int) -> slice:
         off = self.offsets[user]
         return slice(off, off + self.rates[user])
-
-    # The views are read-only: a write would desync them from the ints.
-    @cached_property
-    def encoders(self) -> tuple[np.ndarray, ...]:
-        k, m = len(self.rates), self.m
-        enc = gf2.unpack(self.columns, k * m).T.copy()
-        enc.flags.writeable = False
-        return tuple(enc[i * m:(i + 1) * m] for i in range(k))
-
-    @cached_property
-    def decoders(self) -> tuple[np.ndarray, ...]:
-        dec = tuple(gf2.unpack(d, r).T.copy()
-                    for d, r in zip(self.decoder_columns, self.rates))
-        for d in dec:
-            d.flags.writeable = False
-        return dec
 
     def respects_cms(self) -> bool:
         """Encoder i may only depend on messages of users 1..i: no column

@@ -12,7 +12,7 @@ import pytest
 
 from cifc_cms import gaussian, gdof, gf2, ldc
 from test_gf2 import (float_matmul, pack, random_invertible, rank,
-                      shift_matrix)
+                      shift_matrix, unpack)
 from test_ldc import entropy_sum
 
 
@@ -174,7 +174,7 @@ class TestGf2PropertySuite:
             eye = np.eye(n, dtype=np.uint8)
             for _ in range(20):
                 m = random_invertible(n, rng)
-                inv = gf2.unpack(gf2.solve(pack(m), n, gf2.eye(n), n), n)
+                inv = unpack(gf2.solve(pack(m), n, gf2.eye(n), n), n)
                 assert np.array_equal(float_matmul(m, inv), eye)
                 assert np.array_equal(float_matmul(inv, m), eye)
 

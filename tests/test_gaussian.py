@@ -129,6 +129,18 @@ class TestChannel:
         with pytest.raises(ValueError, match="finite"):
             gaussian.ChannelGrid(3, hd, hi)
 
+    @pytest.mark.parametrize("k", [1, 0, -3, 2.5, "3", True])
+    def test_grid_rejects_the_user_counts_the_channel_rejects(self, k):
+        # at k = 1 the grid gave an inner rate above its outer bound
+        with pytest.raises(ValueError, match="integer"):
+            gaussian.GaussianSymChannel(1.0, 1.0, k)
+        with pytest.raises(ValueError, match="integer"):
+            gaussian.ChannelGrid(k, [1.0, 2.0], [0.5, 3.0])
+
+    def test_grid_rejects_negative_direct_gain(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gaussian.ChannelGrid(3, [1.0, -1.0], [0.5, 0.5])
+
     def test_grid_from_snr_alpha_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             gaussian.ChannelGrid.from_snr_alpha([10.0, math.nan], 1.0, 3)
@@ -181,6 +193,30 @@ class TestDpcRates:
                                gamma=(0.5 + 0j, 0.5 + 0j))
         with pytest.raises(gaussian.PowerConstraintViolated):
             gaussian.dpc_rates(ch, p)
+
+    @pytest.mark.parametrize("where", ["alpha1", "alpha2", "beta", "gamma2",
+                                       "gamma3"])
+    def test_nan_coefficient_raises(self, where):
+        # a NaN passed every > check: gamma_2 = NaN gave rates
+        # (0.0, nan, 6.658), and the input covariance came out NaN
+        ch = gaussian.GaussianSymChannel.from_snr_alpha(20.0, 1.5, 3)
+        p = gaussian.closed_form_params(ch)
+        nan = complex(math.nan)
+        alpha, gamma, beta = list(p.alpha), list(p.gamma), p.beta
+        if where == "beta":
+            beta = nan
+        else:
+            (alpha if where[0] == "a" else gamma)[
+                int(where[-1]) - 1 - (where[0] == "g")] = nan
+        q = gaussian.DpcParams(tuple(alpha), beta, tuple(gamma))
+        with pytest.raises(gaussian.PowerConstraintViolated):
+            gaussian.dpc_rates(ch, q)
+        with pytest.raises(gaussian.PowerConstraintViolated):
+            gaussian.input_covariance(q, 3)
+
+    def test_rate_vector_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gaussian.RateVector((1.0, math.nan))
 
     @pytest.mark.parametrize("a1,expected", [
         (0j, 9.3825), (-1 + 0j, 8.2878), (0.5 + 0j, 9.8056), (1 + 0j, 10.1746)])

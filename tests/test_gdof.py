@@ -1,5 +1,7 @@
 """Generalized degrees-of-freedom curves and empirical slope fits."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,26 @@ class TestClosedForms:
             gdof.gdof_cms(-0.5, 3)
         with pytest.raises(ValueError):
             gdof.gdof_cms(1.0, 1)
+
+    @pytest.mark.parametrize("alpha,k", [
+        (math.nan, 3), (math.inf, 3), (-0.5, 3), (0.5, 2.5), (0.5, "3"),
+        (0.5, 1), (0.5, True)])
+    def test_every_model_rejects_what_the_channel_rejects(self, alpha, k):
+        # gdof_cms(nan, 3) returned nan and gdof_cms(0.5, 2.5) 2.0
+        for fn in (gdof.gdof_cms, gdof.gdof_ifc, gdof.gdof_bc):
+            with pytest.raises(ValueError, match="need a finite alpha"):
+                fn(alpha, k)
+
+    def test_sweep_rejects_a_nan_sample(self):
+        with pytest.raises(ValueError, match="need a finite alpha"):
+            gdof.curve_sweep("cms", 3, [0.5, math.nan])
+
+    @pytest.mark.parametrize("k,alpha", [(1, 0.5), (2.5, 0.5), (3, -0.5),
+                                         (3, math.nan)])
+    def test_slope_fit_rejects_bad_args(self, k, alpha):
+        # at k = 1 the fit returned slopes (1.490, 0.863)
+        with pytest.raises(ValueError, match="need a finite alpha"):
+            gdof.empirical_gdof_curve(k, [alpha], [10.0, 20.0])
 
     @given(st.floats(0.0, 4.0), st.integers(2, 8))
     def test_ordering_away_from_alpha_one(self, alpha, k):

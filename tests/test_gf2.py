@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cifc_cms import gf2, ldc
@@ -10,11 +10,71 @@ from cifc_cms import gf2, ldc
 
 def pack(a):
     """The rows of a 2-D {0,1} array as ints, column 0 in the top bit:
-    the inverse of gf2.unpack."""
+    the inverse of unpack."""
     nbytes, pad = -(-a.shape[1] // 8), -a.shape[1] % 8
     data = np.packbits(a, axis=1).tobytes()
     return [int.from_bytes(data[i * nbytes:(i + 1) * nbytes], "big") >> pad
             for i in range(a.shape[0])]
+
+
+def unpack(rows, width):
+    """The packed rows as a len(rows) x width uint8 {0, 1} array."""
+    nbytes, pad = -(-width // 8), -width % 8
+    data = b"".join([(r << pad).to_bytes(nbytes, "big") for r in rows])
+    return np.unpackbits(np.frombuffer(data, np.uint8).reshape(
+        len(rows), nbytes), axis=1, count=width)
+
+
+def rref(rows, width):
+    """The nonzero rows of the reduced row echelon form of packed rows,
+    top down, and their pivot columns; both are unique, and the pivot
+    count is the rank.  gf2 offered this until solve ran the elimination
+    itself."""
+    lead = {}                    # leading bit -> row with that leading bit
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            b = lead.get(top)
+            if b is None:
+                lead[top] = r
+                break
+            r ^= b
+    done = 0                     # pivot bits of the rows already reduced
+    for p in sorted(lead):       # rightmost pivot first
+        r, t = lead[p], lead[p] & done
+        while t:                 # lead[q] has no other pivot bit
+            q = t.bit_length() - 1
+            r ^= lead[q]
+            t ^= 1 << q
+        lead[p] = r
+        done |= 1 << p
+    bits = sorted(lead, reverse=True)
+    return [lead[p] for p in bits], [width - 1 - p for p in bits]
+
+
+def oracle_solve(a, n, b, p):
+    """gf2.solve read off rref of [a | b], as gf2 computed it before
+    solve ran its own elimination."""
+    rows, pivots = rref([ra << p | rb for ra, rb in zip(a, b)], n + p)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [0] * n
+    for r, c in zip(rows, pivots):
+        x[c] = r & ~(-1 << p)
+    return x
+
+
+def encoders(s):
+    """The encoders of an LdcScheme as uint8 arrays, m x total_bits each:
+    encoder i is the block of X_i in s.columns."""
+    k, m = len(s.rates), s.m
+    enc = unpack(s.columns, k * m).T
+    return tuple(enc[i * m:(i + 1) * m] for i in range(k))
+
+
+def decoders(s):
+    """The decoders of an LdcScheme as uint8 arrays, r_l x m each."""
+    return tuple(unpack(d, r).T for d, r in zip(s.decoder_columns, s.rates))
 
 
 def shift_matrix(m, k):
@@ -34,7 +94,7 @@ def float_matmul(a, b):
 
 def rank(a):
     """GF(2) rank of a uint8 array: rref's pivot count."""
-    return len(gf2.rref(pack(a), a.shape[1])[1])
+    return len(rref(pack(a), a.shape[1])[1])
 
 
 def identity(n):
@@ -49,7 +109,7 @@ def inverse(m):
     """The GF(2) inverse of a square uint8 matrix through solve, or None."""
     n = m.shape[0]
     x = gf2.solve(pack(m), n, gf2.eye(n), n)
-    return None if x is None else gf2.unpack(x, n)
+    return None if x is None else unpack(x, n)
 
 
 def random_matrix(rng, rows, cols):
@@ -61,7 +121,7 @@ def kernel(a):
     columns of a uint8 array."""
     cols = a.shape[1]
     tags = gf2.independent(pack(a.T), gf2.eye(cols))[1]
-    return gf2.unpack(tags, cols).T
+    return unpack(tags, cols).T
 
 
 def oracle_nullspace(a, n):
@@ -69,12 +129,12 @@ def oracle_nullspace(a, n):
     computed it before its column elimination: one basis vector per
     free column, in order, with e_c's pivot entries from RREF row c.
     Returns the vectors as n-bit ints (columns)."""
-    rows, pivots = gf2.rref(a, n)
+    rows, pivots = rref(a, n)
     full = gf2.eye(n)
     for r, c in zip(rows, pivots):
         full[c] = r
     free = [c for c in range(n) if c not in pivots]
-    return pack(gf2.unpack(full, n)[:, free].T)
+    return pack(unpack(full, n)[:, free].T)
 
 
 def random_invertible(n, rng):
@@ -157,9 +217,31 @@ class TestInvert:
         tall = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8)
         assert gf2.solve(pack(tall), 2, gf2.eye(3), 3) is None
         # a wide matrix has a right inverse but no left one
-        x = gf2.unpack(gf2.solve(pack(tall.T), 3, gf2.eye(2), 2), 2)
+        x = unpack(gf2.solve(pack(tall.T), 3, gf2.eye(2), 2), 2)
         assert np.array_equal(float_matmul(tall.T, x), identity(2))
         assert rank(float_matmul(x, tall.T)) == 2
+
+
+@st.composite
+def systems(draw):
+    """(a, n, b, p) for solve: 0-8 rows, a 0-8 bits wide, b 0-5 bits
+    wide.  A row may be the sum of earlier ones (rank-deficient), with
+    b's row the same sum (consistent) or not (inconsistent)."""
+    n, p = draw(st.integers(0, 8)), draw(st.integers(0, 5))
+    a, b = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        if a and draw(st.booleans()):
+            ra = rb = 0
+            for i in draw(st.lists(st.integers(0, len(a) - 1), min_size=1,
+                                   max_size=3)):
+                ra, rb = ra ^ a[i], rb ^ b[i]
+            rb ^= draw(st.sampled_from([0, draw(st.integers(0, 2 ** p - 1))]))
+        else:
+            ra = draw(st.integers(0, 2 ** n - 1))
+            rb = draw(st.integers(0, 2 ** p - 1))
+        a.append(ra)
+        b.append(rb)
+    return a, n, b, p
 
 
 class TestSolve:
@@ -172,12 +254,28 @@ class TestSolve:
         b = float_matmul(a, x_true)
         x = gf2.solve(pack(a), cols, pack(b), rhs)
         assert x is not None
-        assert np.array_equal(float_matmul(a, gf2.unpack(x, rhs)), b)
+        assert np.array_equal(float_matmul(a, unpack(x, rhs)), b)
 
     def test_inconsistent_system_returns_none(self):
         a = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         b = np.array([[1], [0]], dtype=np.uint8)
         assert gf2.solve(pack(a), 2, pack(b), 1) is None
+
+    @given(systems())
+    @settings(max_examples=300)
+    def test_matches_rref_oracle(self, case):
+        assert gf2.solve(*case) == oracle_solve(*case)
+
+    def test_oracle_cases_cover_every_kind(self):
+        # consistent and inconsistent, rank-deficient, zero-width, empty
+        cases = [([], 0, [], 0), ([], 3, [], 2), ([0, 0], 0, [1, 0], 1),
+                 ([0, 0], 0, [0, 0], 1), ([3, 3], 2, [0, 0], 0),
+                 ([3, 3], 2, [1, 0], 1), ([3, 3], 2, [1, 1], 1),
+                 ([6, 3, 5], 3, [1, 2, 3], 2), ([6, 3, 5], 3, [1, 2, 2], 2)]
+        want = [[], [0] * 3, None, [], [0, 0], None, [1, 0], [3, 2, 0],
+                None]
+        assert [oracle_solve(*c) for c in cases] == want
+        assert [gf2.solve(*c) for c in cases] == want
 
 
 class TestNullspace:
@@ -198,7 +296,7 @@ class TestRowEchelon:
         # build_chain_scheme takes its layer basis from these pivots
         rng = np.random.default_rng(seed)
         m = random_matrix(rng, rows, cols)
-        pivots = gf2.rref(pack(m), cols)[1]
+        pivots = rref(pack(m), cols)[1]
         assert rank(m[:, pivots]) == len(pivots) == rank(m)
 
 
@@ -213,7 +311,7 @@ class TestIdentityPlusShiftFullRank:
     @pytest.mark.parametrize("m", range(1, 129))
     def test_all_shifts(self, m):
         for c in range(1, m + 1):
-            dec = ldc.build_sym_scheme(m, m - c, 2).decoders[0]
+            dec = decoders(ldc.build_sym_scheme(m, m - c, 2))[0]
             s = pack(identity(m) ^ shift_matrix(m, c))
             d = pack(dec)
             assert gf2.mul(d, s) == gf2.mul(s, d) == gf2.eye(m), (m, c)
@@ -257,8 +355,8 @@ class TestPackingEdges:
         b = random_matrix(rng, cols, 9)
         rows_a = pack(a)
         assert len(rows_a) == rows and all(r >> cols == 0 for r in rows_a)
-        assert np.array_equal(gf2.unpack(rows_a, cols), a)
-        assert gf2.unpack(rows_a, cols).dtype == np.uint8
+        assert np.array_equal(unpack(rows_a, cols), a)
+        assert unpack(rows_a, cols).dtype == np.uint8
         assert gf2.mul(rows_a, pack(b)) == pack(float_matmul(a, b))
         # on columns, mul(B's, A's) gives the columns of A @ B
         assert gf2.mul(pack(b.T), pack(a.T)) \
@@ -269,9 +367,9 @@ class TestPackingEdges:
     def test_row_echelon_is_reduced_and_spans_the_rows(self, rows, cols):
         rng = np.random.default_rng(rows * 1000 + cols + 1)
         a = random_of_rank(rng, rows, cols, min(rows, cols) * 2 // 3)
-        rows_r, pivots = gf2.rref(pack(a), cols)
+        rows_r, pivots = rref(pack(a), cols)
         k = len(pivots)
-        r = gf2.unpack(rows_r, cols)
+        r = unpack(rows_r, cols)
         assert r.shape == (k, cols) and k == rank(a)
         assert pivots == sorted(set(pivots))
         for i, p in enumerate(pivots):
@@ -289,10 +387,10 @@ class TestPackingEdges:
         a = random_of_rank(rng, rows, cols, min(rows, cols) // 2)
         r = rank(a)
         b = float_matmul(a, random_matrix(rng, cols, 3))
-        x = gf2.unpack(gf2.solve(pack(a), cols, pack(b), 3), 3)
+        x = unpack(gf2.solve(pack(a), cols, pack(b), 3), 3)
         assert x.shape == (cols, 3)
         assert np.array_equal(float_matmul(a, x), b)
-        pivots = gf2.rref(pack(a), cols)[1]
+        pivots = rref(pack(a), cols)[1]
         free = [c for c in range(cols) if c not in pivots]
         assert not x[free].any()     # free variables are zero
         assert gf2.independent(pack(a.T))[0] == pivots
@@ -323,7 +421,7 @@ class TestPackingEdges:
     def test_empty_matrices(self):
         for rows, cols in [(0, 0), (0, 5), (5, 0), (0, 64)]:
             a = pack(zeros(rows, cols))
-            assert gf2.rref(a, cols) == ([], [])
+            assert rref(a, cols) == ([], [])
             assert rank(zeros(rows, cols)) == 0
             assert gf2.independent([0] * cols, gf2.eye(cols)) \
                 == ([], gf2.eye(cols))
@@ -361,20 +459,20 @@ class TestIndependent:
     @given(column_sets())
     def test_pivots_are_rrefs(self, case):
         width, vectors = case
-        rows = pack(gf2.unpack(vectors, width).T)
+        rows = pack(unpack(vectors, width).T)
         found, dependent = gf2.independent(vectors)
-        assert found == gf2.rref(rows, len(vectors))[1]
+        assert found == rref(rows, len(vectors))[1]
         assert dependent == [0] * (len(vectors) - len(found))
 
     @given(column_sets())
     def test_unit_tags_give_the_nullspace(self, case):
         width, vectors = case
         n = len(vectors)
-        a = gf2.unpack(vectors, width).T
+        a = unpack(vectors, width).T
         ker = gf2.independent(vectors, gf2.eye(n))[1]
         assert ker == oracle_nullspace(pack(a), n)
         assert len(ker) == n - rank(a)
-        assert not float_matmul(a, gf2.unpack(ker, n).T).any()
+        assert not float_matmul(a, unpack(ker, n).T).any()
 
     @given(column_sets(), st.integers(0, 2 ** 31 - 1))
     def test_tags_follow_the_unique_sum(self, case, seed):
