@@ -111,23 +111,14 @@ def curve_sweep(model: str, k: int, alpha_grid,
     return GdofCurve(model=model, k=k, samples=samples)
 
 
-def empirical_gdof(k: int, alpha: float, snr_db_list) -> SlopeEstimate:
-    """Least-squares slope of the Gaussian bounds vs. log2(1+SNR).
-
-    Sets |hd|^2 = SNR and |hi|^2 = SNR^alpha at each listed SNR and fits
-    both the analytic outer bound and the closed-form inner bound.
-    """
-    return empirical_gdof_curve(k, [alpha], snr_db_list)[0]
-
-
-def empirical_gdof_curve(k: int, alphas,
-                         snr_db_list) -> list[SlopeEstimate]:
-    """empirical_gdof at each alpha, from one evaluation of the bounds
-    over the (alpha, SNR) grid.  Each alpha is its own fit: one fit
-    with every alpha as a right-hand side rounds differently."""
+def empirical_gdof_curve(k: int, alphas, snr_db_list) -> list[SlopeEstimate]:
+    """Least-squares slopes of the analytic outer and the closed-form
+    inner bound vs. log2(1+SNR), at |hd|^2 = SNR and |hi|^2 = SNR^alpha:
+    one evaluation over the (alpha, SNR) grid, then one fit per alpha
+    (one fit with every alpha as a right-hand side rounds differently)."""
     snr_dbs = [float(s) for s in snr_db_list]
-    if len(snr_dbs) < 2:
-        raise ValueError("need at least two SNR points for a slope fit")
+    if len(set(snr_dbs)) < 2:
+        raise ValueError("need two distinct SNR points for a slope fit")
     for alpha in alphas:
         _check(alpha, k)
     if any(abs(alpha - 1.0) < FIT_EXCLUSION for alpha in alphas):

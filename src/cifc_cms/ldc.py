@@ -20,6 +20,17 @@ from itertools import accumulate
 from . import gf2
 
 
+def _sym_args(nd, ni, k) -> tuple[int, int, int]:
+    """nd, ni, k as ints; a float or a string raises, never rounded."""
+    try:
+        nd, ni, k = map(operator.index, (nd, ni, k))
+    except TypeError:
+        nd = -1     # not an integer: the range check below raises
+    if nd < 0 or ni < 0 or k < 2:
+        raise ValueError("need integers nd >= 0, ni >= 0, k >= 2")
+    return nd, ni, k
+
+
 @dataclass(frozen=True)
 class LdcGains:
     """Integer gain matrix n[l][i] (receiver l, transmitter i)."""
@@ -48,9 +59,9 @@ class LdcGains:
 
     @classmethod
     def symmetric(cls, nd: int, ni: int, k: int) -> "LdcGains":
-        return cls.from_matrix(
-            [[nd if l == i else ni for i in range(k)] for l in range(k)]
-        )
+        nd, ni, k = _sym_args(nd, ni, k)
+        return cls([[nd if l == i else ni for i in range(k)]
+                    for l in range(k)])
 
     @property
     def k(self) -> int:
@@ -207,8 +218,7 @@ def ldc_k_sym_sum_capacity(nd: int, ni: int, k: int) -> SumRateBound:
     nd == ni > 0 collapses to a K-user MAC with sum capacity nd;
     nd == ni == 0 is 0 by continuity.
     """
-    if nd < 0 or ni < 0 or k < 2:
-        raise ValueError("need nd >= 0, ni >= 0, k >= 2")
+    nd, ni, k = _sym_args(nd, ni, k)
     if nd == ni:
         if nd == 0:
             return SumRateBound(0, (("degenerate_zero", 0),),
@@ -256,8 +266,7 @@ def build_sym_scheme(nd: int, ni: int, k: int) -> LdcScheme:
     transmitter K needs cognition here, unlike build_chain_scheme,
     which reaches the same sum rate.
     """
-    if nd < 0 or ni < 0 or k < 2:
-        raise ValueError("need nd >= 0, ni >= 0, k >= 2")
+    nd, ni, k = _sym_args(nd, ni, k)
     if nd != ni:
         return _sym_encoders(nd, ni, k)
     # MAC corner: user 1 sends nd bits, everyone else is silent.

@@ -133,7 +133,7 @@ def test_empirical_gdof_slopes_match_closed_form():
     snrs = [40.0, 50.0, 60.0, 70.0, 80.0]
     for k in (2, 3, 4):
         for alpha in (0.0, 0.5, 1.5, 2.5):
-            est = gdof.empirical_gdof(k, alpha, snrs)
+            [est] = gdof.empirical_gdof_curve(k, [alpha], snrs)
             target = k * max(1.0, alpha) - alpha
             assert est.inner_slope == pytest.approx(target, abs=0.05), \
                 (k, alpha)

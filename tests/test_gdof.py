@@ -92,18 +92,20 @@ class TestCurveSweep:
 class TestEmpiricalSlopes:
     @pytest.mark.parametrize("k,alpha", [(2, 0.0), (3, 0.5), (4, 2.5)])
     def test_slope_matches_closed_form(self, k, alpha):
-        est = gdof.empirical_gdof(k, alpha, [40.0, 50.0, 60.0, 70.0, 80.0])
+        [est] = gdof.empirical_gdof_curve(k, [alpha],
+                                          [40.0, 50.0, 60.0, 70.0, 80.0])
         target = gdof.gdof_cms(alpha, k)
         assert est.inner_slope == pytest.approx(target, abs=0.05)
         assert est.outer_slope == pytest.approx(target, abs=0.05)
 
     def test_rejects_alpha_near_one(self):
         with pytest.raises(ValueError):
-            gdof.empirical_gdof(3, 0.95, [40.0, 60.0])
+            gdof.empirical_gdof_curve(3, [0.95], [40.0, 60.0])
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            gdof.empirical_gdof(3, 0.5, [40.0])
+        for snrs in ([40.0], [40.0, 40.0]):
+            with pytest.raises(ValueError, match="two distinct SNR"):
+                gdof.empirical_gdof_curve(3, [0.5], snrs)
 
 
 class TestMatchesLdc:

@@ -348,10 +348,21 @@ class TestSymCapacityFormula:
                 ldc.build_sym_scheme(nd, ni, k).total_bits, (nd, ni, k)
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            ldc.ldc_k_sym_sum_capacity(-1, 0, 3)
-        with pytest.raises(ValueError):
-            ldc.ldc_k_sym_sum_capacity(1, 1, 1)
+        # never rounded: 2.5 bits of gain is not an integer capacity
+        for fn in (ldc.ldc_k_sym_sum_capacity, ldc.build_sym_scheme,
+                   ldc.LdcGains.symmetric):
+            for args in [(-1, 0, 3), (1, 1, 1), (2.5, 1, 3), (3, 1, 2.5),
+                         (2, 1.0, 3), (3, 1, "3")]:
+                with pytest.raises(ValueError, match="need integers"):
+                    fn(*args)
+
+    def test_takes_numpy_integers(self):
+        args = (np.int64(3), np.uint8(1), np.int32(3))
+        bound = ldc.ldc_k_sym_sum_capacity(*args)
+        assert bound == ldc.ldc_k_sym_sum_capacity(3, 1, 3)
+        assert type(bound.value) is int
+        assert ldc.build_sym_scheme(*args) == ldc.build_sym_scheme(3, 1, 3)
+        assert ldc.LdcGains.symmetric(*args) == ldc.LdcGains.symmetric(3, 1, 3)
 
 
 class TestSymScheme:

@@ -59,7 +59,7 @@ def test_resolves_finds_only_existing_tests():
 
 def test_claims_table_names_existing_checks():
     rows = claims_rows()
-    assert len(rows) == 7
+    assert len(rows) == 8
     for claim, check, coverage, status in rows:
         nodes, presets = NODE.findall(check), PRESET.findall(check)
         assert nodes or presets, claim

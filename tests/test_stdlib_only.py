@@ -1,9 +1,13 @@
 """The LDC layer needs only the standard library: gf2.py and ldc.py
 import nothing but stdlib modules and each other, and gf2 defines only
 the four functions the LDC code calls.  A stdlib ast check, since the
-toolchain ships no linter."""
+toolchain ships no linter, and a fresh interpreter for what an import
+loads."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +77,30 @@ def test_imports_only_the_standard_library(name):
 def test_gf2_defines_the_four_functions_ldc_calls():
     assert public_names((PACKAGE / "gf2.py").read_text()) \
         == {"eye", "mul", "solve", "independent"}
+
+
+def fresh_import(*modules: str) -> dict:
+    """Import modules in a fresh interpreter; report which of numpy and
+    scipy it loaded and which public names the package root binds."""
+    code = (f"import sys\nimport {', '.join(modules)}\n"
+            "import json, cifc_cms\n"
+            "print(json.dumps({'loaded': sorted({'numpy', 'scipy'} & "
+            "set(sys.modules)), 'bound': sorted(n for n in vars(cifc_cms) "
+            "if not n.startswith('_'))}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_ldc_half_imports_without_numpy():
+    assert fresh_import("cifc_cms.gf2", "cifc_cms.ldc") == {
+        "loaded": [], "bound": ["gf2", "ldc"]}
+
+
+def test_cli_import_binds_every_layer():
+    # cmsbench imports cifc_cms and then cifc_cms.cli, and reaches the
+    # layers as attributes of the package
+    assert fresh_import("cifc_cms", "cifc_cms.cli")["bound"] == [
+        "cli", "gaussian", "gdof", "gf2", "ldc"]
