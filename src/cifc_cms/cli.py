@@ -262,11 +262,11 @@ def cmd_gdof_curves(opts) -> int:
                                      discontinuity=opts.discontinuity)
             fits = {}
             if opts.snr_db and model == "cms":
-                fit = [a for a, _ in curve.samples
+                fit = [a for a, _ in curve
                        if abs(a - 1.0) >= gdof.FIT_EXCLUSION]
                 fits = dict(zip(fit, gdof.empirical_gdof_curve(
                     k, fit, opts.snr_db)))
-            for alpha, d in curve.samples:
+            for alpha, d in curve:
                 est = fits.get(alpha)
                 emp_in, emp_out = ((est.inner_slope, est.outer_slope)
                                    if est else ("", ""))

@@ -87,21 +87,16 @@ class GaussianSymChannel:
     def from_snr_alpha(cls, snr_db: float, alpha: float,
                        k: int) -> "GaussianSymChannel":
         """|hd|^2 = SNR, |hi|^2 = SNR^alpha with SNR in dB."""
-        snr = 10.0 ** (snr_db / 10.0)
-        return cls(hd=snr ** 0.5, hi=complex(snr ** (alpha / 2.0)), k=k)
-
-    @property
-    def snr(self) -> float:
-        return self.hd ** 2
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+            hd, hi = snr ** 0.5, complex(snr ** (alpha / 2.0))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("gain overflows floats") from None
+        return cls(hd=hd, hi=hi, k=k)
 
     @property
     def inr(self) -> float:
         return abs(self.hi) ** 2
-
-    @property
-    def is_mac(self) -> bool:
-        """Exact-equality degenerate branch: all outputs equivalent."""
-        return self.hi == complex(self.hd)
 
 
 @dataclass(frozen=True)
@@ -149,17 +144,13 @@ class RateVector:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Floats and labels for one channel; arrays of them over a
-    ChannelGrid (gap_certificate_grid)."""
+    """The five numbers of a gaussian-gap row for one channel; arrays of
+    them over a ChannelGrid (gap_certificate_grid)."""
     inner: float
     outer: float
     additive_gap: float
     analytic_gap_bound: float
-    multiplicative_ratio: float
-    outer_branch: str   # "mac" or "general"
-    inner_branch: str   # "coherent", "successive" or "beamforming"
-    outer_mac: float    # MAC-branch value, for boundary inspection
-    outer_general: float
+    multiplicative_ratio: float  # outer over the all-beamform rate
 
 
 def dpc_rates(ch: GaussianSymChannel, p: DpcParams) -> RateVector:
@@ -329,8 +320,8 @@ class ChannelGrid:
         self.hd2 = _pow_each(self.hd, 2.0)
         self.hi2 = _pow_each(self.hi_mag, 2.0)
         self.zf2 = _pow_each(_abs_each(self.hd - self.hi), 2.0)
-        self.is_mac = self.hi == self.hd
-        # beamforming_inner, also the first term of the outer bound
+        self.is_mac = self.hi == self.hd  # exact: the K-user MAC
+        # the all-beamform sum rate, also the first term of the outer bound
         self.beamforming = _log2p1_each(
             _pow_each(self.hd + (k - 1) * self.hi_mag, 2.0))
 
@@ -339,8 +330,11 @@ class ChannelGrid:
         """GaussianSymChannel.from_snr_alpha on 1-D arrays."""
         snr_db, alpha = np.broadcast_arrays(np.asarray(snr_db, float),
                                             np.asarray(alpha, float))
-        snr = _pow_each(np.full(snr_db.shape, 10.0), snr_db / 10.0)
-        return cls(k, _pow_each(snr, 0.5), _pow_each(snr, alpha / 2.0))
+        try:
+            snr = _pow_each(np.full(snr_db.shape, 10.0), snr_db / 10.0)
+            return cls(k, _pow_each(snr, 0.5), _pow_each(snr, alpha / 2.0))
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError("gain overflows floats") from None
 
     @classmethod
     def of(cls, ch: GaussianSymChannel) -> "ChannelGrid":
@@ -375,8 +369,9 @@ def _coherent(g: ChannelGrid, at: np.ndarray) -> np.ndarray:
 
 
 def closed_form_inner(g: ChannelGrid) -> np.ndarray:
-    """closed_form_sum_rates(ch)[0] at every channel; the successive rate
-    is evaluated only below |hi|^2 = 1, where it is the choice."""
+    """dpc_rates(ch, closed_form_params(ch)).total at every channel, bit
+    for bit; the successive rate is evaluated only below |hi|^2 = 1,
+    where it is the choice."""
     strong = g.hi2 >= 1.0
     inner = np.empty(strong.shape)
     inner[~strong] = _successive(g, ~strong)
@@ -384,15 +379,15 @@ def closed_form_inner(g: ChannelGrid) -> np.ndarray:
     return inner
 
 
-def outer_grid(g: ChannelGrid) -> tuple:
-    """Analytic sum-rate upper bound at every channel, in bits, with its
-    MAC branch (where hi == hd exactly) and general branch."""
+def outer_grid(g: ChannelGrid) -> np.ndarray:
+    """Analytic sum-rate upper bound at every channel, in bits: the MAC
+    value where hi == hd exactly, the general one elsewhere."""
     k = g.k
-    mac = _log2p1_each(_pow_each(k * g.hd, 2.0))
-    general = (g.beamforming + float(k - 2)
-               + (k - 2) * _log2p1_each(g.zf2 / 2.0)
-               + _log2p1_each(g.hd2 / (1.0 + (k - 1) * g.hi2)))
-    return np.where(g.is_mac, mac, general), mac, general
+    outer = (g.beamforming + float(k - 2)
+             + (k - 2) * _log2p1_each(g.zf2 / 2.0)
+             + _log2p1_each(g.hd2 / (1.0 + (k - 1) * g.hi2)))
+    outer[g.is_mac] = _log2p1_each(_pow_each(k * g.hd[g.is_mac], 2.0))
+    return outer
 
 
 def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
@@ -408,11 +403,8 @@ def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
     successive = _successive(g, slice(None))
     coherent = successive.copy()
     coherent[strong] = _coherent(g, strong)
-    rates = np.stack([coherent, successive, g.beamforming])
-    inner = rates.max(axis=0)
-    branch = np.array(["coherent", "successive", "beamforming"])[
-        rates.argmax(axis=0)]
-    outer, mac, general = outer_grid(g)
+    inner = np.stack([coherent, successive, g.beamforming]).max(axis=0)
+    outer = outer_grid(g)
     gap = outer - inner
     bound = analytic_gap_bound(g.k)
     over_bound = gap > bound + TOL.gap_slack
@@ -427,28 +419,14 @@ def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
     bf = g.beamforming
     return GapCertificate(
         inner, outer, gap, bound,
-        np.divide(outer, bf, out=np.full(bf.shape, math.nan), where=bf > 0),
-        np.where(g.is_mac, "mac", "general"), branch, mac, general)
+        np.divide(outer, bf, out=np.full(bf.shape, math.nan), where=bf > 0))
 
 
 # The scalar API: one-element calls of the kernel.
 
 def outer_sum(ch: GaussianSymChannel) -> float:
     """Analytic sum-rate upper bound, in bits."""
-    return outer_grid(ChannelGrid.of(ch))[0][0].item()
-
-
-def beamforming_inner(ch: GaussianSymChannel) -> float:
-    """Sum rate of the all-beamform-to-user-1 scheme."""
-    return ChannelGrid.of(ch).beamforming[0].item()
-
-
-def closed_form_sum_rates(ch: GaussianSymChannel) -> tuple[float, float]:
-    """(coherent, successive): dpc_rates(ch, p).total for p =
-    closed_form_params(ch) and successive_params(ch), bit for bit."""
-    g = ChannelGrid.of(ch)
-    return (closed_form_inner(g)[0].item(),
-            _successive(g, slice(None))[0].item())
+    return outer_grid(ChannelGrid.of(ch))[0].item()
 
 
 def additive_gap_certificate(ch: GaussianSymChannel) -> GapCertificate:
@@ -539,7 +517,12 @@ def _x_to_free(copies: list[float], x: np.ndarray) -> np.ndarray:
 
 class _Budget:
     def __init__(self, limit: int):
-        self.limit = limit
+        try:
+            self.limit = operator.index(limit)
+        except TypeError:
+            self.limit = 0       # NaN, 2.5 or "500" is no budget
+        if self.limit < 1:
+            raise ValueError("budget must be an integer >= 1")
         self.used = 0
 
     def spend(self) -> bool:
@@ -592,11 +575,9 @@ def optimize_inner(ch: GaussianSymChannel, budget: int = 10_000,
     evaluated before the budget counts, so a call makes budget + 16
     objective evaluations; optimize_outer charges its starts.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget_ctr = _Budget(budget)
     k = ch.k
     copies = _zf_copies(k)
-    budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
     objective = _full_power_rate(ch)
 
@@ -769,8 +750,6 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     """
     if ch.k != 3:
         raise ValueError("optimize_outer implemented for k == 3 only")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
 

@@ -4,9 +4,8 @@ channel, MIMO broadcast), plus empirical slope-fit validation against
 the Gaussian bounds.
 
 Every closed form has a discontinuity at alpha = 1 where the channel
-collapses to a MAC; the discontinuity value is returned only when
-explicitly requested via the flag, otherwise the two-sided limit is
-used.
+collapses to a MAC of sum gDoF 1; the model functions give the two-sided
+limit there, and curve_sweep gives 1 when asked (discontinuity=True).
 """
 
 from __future__ import annotations
@@ -27,20 +26,6 @@ FIT_EXCLUSION = 0.1
 
 
 @dataclass(frozen=True)
-class GdofCurve:
-    model: str
-    k: int
-    samples: tuple[tuple[float, float], ...]  # (alpha, d)
-
-    def __post_init__(self):
-        alphas = [a for a, _ in self.samples]
-        if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            raise ValueError("alpha grid must be strictly increasing")
-        if any(d < 0 for _, d in self.samples):
-            raise ValueError("gDoF values must be non-negative")
-
-
-@dataclass(frozen=True)
 class SlopeEstimate:
     inner_slope: float
     outer_slope: float
@@ -56,20 +41,16 @@ def _check(alpha: float, k: int) -> None:
         raise ValueError("need a finite alpha >= 0 and an integer k >= 2")
 
 
-def gdof_cms(alpha: float, k: int, discontinuity: bool = False) -> float:
+def gdof_cms(alpha: float, k: int) -> float:
     """Sum gDoF of the cumulative-sharing cognitive channel:
-    K*max{1,alpha} - alpha, dropping to 1 exactly at alpha = 1."""
+    K*max{1,alpha} - alpha."""
     _check(alpha, k)
-    if alpha == 1.0:
-        return 1.0 if discontinuity else float(k - 1)
     return k * max(1.0, alpha) - alpha
 
 
-def gdof_bc(alpha: float, k: int, discontinuity: bool = False) -> float:
+def gdof_bc(alpha: float, k: int) -> float:
     """Sum gDoF of the K-antenna broadcast channel: K*max{1,alpha}."""
     _check(alpha, k)
-    if alpha == 1.0 and discontinuity:
-        return 1.0
     return k * max(1.0, alpha)
 
 
@@ -86,12 +67,10 @@ def _w_curve_2user(alpha: float) -> float:
     return 2.0
 
 
-def gdof_ifc(alpha: float, k: int, discontinuity: bool = False) -> float:
+def gdof_ifc(alpha: float, k: int) -> float:
     """Sum gDoF of the classical K-user interference channel:
-    (K/2) times the 2-user W-curve, with value 1 at alpha = 1."""
+    (K/2) times the 2-user W-curve."""
     _check(alpha, k)
-    if alpha == 1.0 and discontinuity:
-        return 1.0
     return (k / 2.0) * _w_curve_2user(alpha)
 
 
@@ -99,16 +78,19 @@ _MODEL_FUNCS = {"cms": gdof_cms, "ifc": gdof_ifc, "bc": gdof_bc}
 
 
 def curve_sweep(model: str, k: int, alpha_grid,
-                discontinuity: bool = False) -> GdofCurve:
-    """Sample a model's closed form over an increasing alpha grid."""
+                discontinuity: bool = False) -> tuple:
+    """((alpha, d), ...): a model's closed form over a strictly increasing
+    alpha grid, with d = 1 exactly at alpha = 1 if discontinuity."""
     if model not in _MODEL_FUNCS:
         raise ValueError(f"unknown model {model!r}; pick one of {MODELS}")
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
-    fn = _MODEL_FUNCS[model]
-    samples = tuple((a, fn(a, k, discontinuity)) for a in alphas)
-    return GdofCurve(model=model, k=k, samples=samples)
+    ds = [_MODEL_FUNCS[model](a, k) for a in alphas]
+    if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
+        raise ValueError("alpha grid must be strictly increasing")
+    return tuple((a, 1.0 if discontinuity and a == 1.0 else d)
+                 for a, d in zip(alphas, ds))
 
 
 def empirical_gdof_curve(k: int, alphas, snr_db_list) -> list[SlopeEstimate]:
@@ -129,7 +111,7 @@ def empirical_gdof_curve(k: int, alphas, snr_db_list) -> list[SlopeEstimate]:
         np.tile(snr_dbs, len(alphas)), np.repeat(alphas, n), k)
     xs = list(map(math.log2, (1.0 + g.hd2[:n]).tolist()))
     inner = gaussian.closed_form_inner(g).reshape(-1, n)
-    outer = gaussian.outer_grid(g)[0].reshape(-1, n)
+    outer = gaussian.outer_grid(g).reshape(-1, n)
     return [SlopeEstimate(inner_slope=float(np.polyfit(xs, i, 1)[0]),
                           outer_slope=float(np.polyfit(xs, o, 1)[0]))
             for i, o in zip(inner, outer)]

@@ -39,8 +39,12 @@ def test_generic_3user_schemes_meet_outer_bound():
                   for _ in range(200)]
     gains_list += [ldc.LdcGains.symmetric(nd, ni, 3)
                    for nd, ni in itertools.product(range(4), repeat=2)]
+    # every channel with gains 0-2
+    gains_list += [ldc.LdcGains.from_matrix([n[:3], n[3:6], n[6:]])
+                   for n in itertools.product(range(3), repeat=9)]
     for g in gains_list:
         outer = ldc.ldc3_sum_outer(g).value
+        assert ldc.chain_rank_bound(g) == outer, g.n
         s = ldc.build_chain_scheme(g)
         assert s.total_bits == outer, g.n
         assert s.respects_cms(), g.n
@@ -97,10 +101,9 @@ def test_additive_gap_bound_holds_on_grid():
 def test_multiplicative_gap_at_most_k():
     for snr_db, alpha, k in GAUSSIAN_GRID:
         ch = gaussian.GaussianSymChannel.from_snr_alpha(snr_db, alpha, k)
-        bf = gaussian.beamforming_inner(ch)
-        if bf > 0:
-            assert gaussian.outer_sum(ch) / bf <= k + 1e-9, \
-                (snr_db, alpha, k)
+        # the outer bound over the all-beamform rate
+        ratio = gaussian.additive_gap_certificate(ch).multiplicative_ratio
+        assert ratio <= k + 1e-9, (snr_db, alpha, k)
 
 
 def test_numeric_gap_curve_shape_at_50db():

@@ -272,7 +272,7 @@ class TestGaussianGap:
                                        capsys):
         # the grid path takes its outer bound from the kernel's outer_grid
         monkeypatch.setattr(cli.gaussian, "outer_grid",
-                            lambda g: (np.zeros(g.hd.shape),) * 3)
+                            lambda g: np.zeros(g.hd.shape))
         rc = cli.main(["gaussian-gap", "--k", "3", "--snr-db", "20",
                        "--alpha", "1.5", "--out", str(tmp_path / "g.csv")])
         assert rc == 1
@@ -621,7 +621,7 @@ def oracle_gdof_rows(models, ks, alphas, snrs):
                 if model == "cms" and abs(alpha - 1.0) >= 0.1:
                     chs = [gaussian.GaussianSymChannel.from_snr_alpha(
                         s, alpha, k) for s in snrs]
-                    xs = [math.log2(1.0 + ch.snr) for ch in chs]
+                    xs = [math.log2(1.0 + ch.hd ** 2) for ch in chs]
                     emp_in, emp_out = (
                         float(np.polyfit(xs, ys, 1)[0]) for ys in (
                             [oracle_sum_rates(ch)[0] for ch in chs],

@@ -17,13 +17,17 @@ class TestClosedForms:
         assert gdof.gdof_cms(2.0, 5) == 8.0
 
     def test_cms_alpha_one(self):
-        assert gdof.gdof_cms(1.0, 4) == 3.0          # two-sided limit
-        assert gdof.gdof_cms(1.0, 4, discontinuity=True) == 1.0
+        for k in range(2, 50):                       # two-sided limit
+            d = gdof.gdof_cms(1.0, k)
+            assert type(d) is float and d == float(k - 1)
+        assert gdof.curve_sweep("cms", 4, [1.0], discontinuity=True) == (
+            (1.0, 1.0),)
 
     def test_bc_values(self):
         assert gdof.gdof_bc(0.5, 3) == 3.0
         assert gdof.gdof_bc(2.0, 3) == 6.0
-        assert gdof.gdof_bc(1.0, 3, discontinuity=True) == 1.0
+        assert gdof.curve_sweep("bc", 3, [1.0], discontinuity=True) == (
+            (1.0, 1.0),)
 
     def test_ifc_w_curve_breakpoints(self):
         assert gdof.gdof_ifc(0.0, 2) == 2.0
@@ -78,7 +82,24 @@ class TestClosedForms:
 class TestCurveSweep:
     def test_samples_and_normalization(self):
         curve = gdof.curve_sweep("cms", 4, [0.0, 0.5, 2.0])
-        assert curve.samples == ((0.0, 4.0), (0.5, 3.5), (2.0, 6.0))
+        assert curve == ((0.0, 4.0), (0.5, 3.5), (2.0, 6.0))
+
+    @pytest.mark.parametrize("model", gdof.MODELS)
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_discontinuity_sets_only_alpha_one(self, model, k):
+        # the MAC value 1 at alpha = 1 for every model; elsewhere, and
+        # without the flag, the model's closed form
+        grid = [0.5, 1.0, 1.5]
+        fn = {"cms": gdof.gdof_cms, "ifc": gdof.gdof_ifc,
+              "bc": gdof.gdof_bc}[model]
+        assert gdof.curve_sweep(model, k, grid, discontinuity=True) == (
+            (0.5, fn(0.5, k)), (1.0, 1.0), (1.5, fn(1.5, k)))
+        assert gdof.curve_sweep(model, k, grid) == tuple(
+            (a, fn(a, k)) for a in grid)
+
+    def test_discontinuity_still_checks_the_user_count(self):
+        with pytest.raises(ValueError, match="need a finite alpha"):
+            gdof.curve_sweep("cms", 1, [1.0], discontinuity=True)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
@@ -102,6 +123,11 @@ class TestEmpiricalSlopes:
         with pytest.raises(ValueError):
             gdof.empirical_gdof_curve(3, [0.95], [40.0, 60.0])
 
+    def test_rejects_an_snr_that_overflows(self):
+        # 1e6 dB raised a bare OverflowError in the channel grid
+        with pytest.raises(ValueError, match="overflows"):
+            gdof.empirical_gdof_curve(3, [0.5], [40.0, 1e6])
+
     def test_needs_two_points(self):
         for snrs in ([40.0], [40.0, 40.0]):
             with pytest.raises(ValueError, match="two distinct SNR"):
@@ -115,6 +141,7 @@ class TestMatchesLdc:
         # high-SNR model; at ni = n it is the MAC, the discontinuity
         for n in range(1, 13):
             for ni in range(3 * n + 1):
-                d = gdof.gdof_cms(ni / n, k, discontinuity=ni == n)
+                [(_, d)] = gdof.curve_sweep("cms", k, [ni / n],
+                                            discontinuity=ni == n)
                 cap = ldc.ldc_k_sym_sum_capacity(n, ni, k).value
                 assert d * n == pytest.approx(cap, abs=1e-9), (n, ni)
