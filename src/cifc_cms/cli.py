@@ -31,8 +31,8 @@ GRID_STOP_SLACK = 1e-9
 # Users times bit levels, K * max(m, 1), of one deterministic channel,
 # the side of the matrices its schemes and proofs build (256: < 1 s).
 MAX_LDC_SIZE = 256
-# Users of one Gaussian channel: time and memory grow linearly in K
-# (10^4 users: about 0.1 s for one gaussian-gap point).
+# Users of one Gaussian channel: without --budget, time and memory grow
+# linearly in K (10^4 users: about 0.1 s for one gaussian-gap point).
 MAX_GAUSSIAN_K = 10_000
 
 
@@ -73,7 +73,10 @@ def parse_grid(spec: str, integer: bool = False) -> list:
                 raise ConfigError(f"grid spec {spec!r} has non-integral "
                                   f"points")
             return [conv(v) for v in vals]
-        return [conv(p) for p in spec.split(",") if p.strip() != ""]
+        vals = [conv(p) for p in spec.split(",") if p.strip() != ""]
+        if not all(map(math.isfinite, vals)):  # a range's points are finite
+            raise ValueError(spec)
+        return vals
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
 
@@ -258,14 +261,17 @@ def cmd_gdof_curves(opts) -> int:
 
     for model in opts.models:
         for k in opts.k:
-            curve = gdof.curve_sweep(model, k, opts.alpha,
-                                     discontinuity=opts.discontinuity)
             fits = {}
-            if opts.snr_db and model == "cms":
-                fit = [a for a, _ in curve
-                       if abs(a - 1.0) >= gdof.FIT_EXCLUSION]
-                fits = dict(zip(fit, gdof.empirical_gdof_curve(
-                    k, fit, opts.snr_db)))
+            try:  # gdof owns the alpha-grid and slope-fit SNR rules
+                curve = gdof.curve_sweep(model, k, opts.alpha,
+                                         discontinuity=opts.discontinuity)
+                if opts.snr_db and model == "cms":
+                    fit = [a for a, _ in curve
+                           if abs(a - 1.0) >= gdof.FIT_EXCLUSION]
+                    fits = dict(zip(fit, gdof.empirical_gdof_curve(
+                        k, fit, opts.snr_db)))
+            except ValueError as exc:
+                raise ConfigError(exc) from exc
             for alpha, d in curve:
                 est = fits.get(alpha)
                 emp_in, emp_out = ((est.inner_slope, est.outer_slope)
@@ -409,31 +415,19 @@ def _merge_config(opts: argparse.Namespace) -> argparse.Namespace:
     return opts
 
 
-# The Gaussian bounds square sums of gains, so K^2 times the largest
-# gain power must stay well inside the float range (about 3082 dB).
-_MAX_POWER_DB = 3000.0
-
-
 def _check_gaussian_grid(ks: list, snr_db: list, alphas: list) -> None:
-    """Reject SNR/alpha grids whose channels are not finite floats, and
-    user counts above MAX_GAUSSIAN_K."""
+    """Reject k above MAX_GAUSSIAN_K, then build the four (snr_db s, alpha a)
+    corner channels at the largest k: hd + (k - 1)|hi| = 10^(s/20) + (k - 1)
+    10^(s a/20) peaks at a corner (s a is bilinear); underflow is at min s."""
     if ks and max(ks) > MAX_GAUSSIAN_K:
         raise ConfigError(f"k = {max(ks)} exceeds {MAX_GAUSSIAN_K}")
-    if not all(math.isfinite(v) for v in snr_db + alphas):
-        raise ConfigError("snr-db and alpha values must be finite")
     if not (ks and snr_db and alphas):
         return
-    if min(snr_db) < -_MAX_POWER_DB:  # the SNR itself would underflow to 0
-        raise ConfigError(f"snr-db must be at least {-_MAX_POWER_DB:g}")
-    # A gain power is SNR^a in dB, a = 1 (direct) or alpha (interfering);
-    # snr_db * a is bilinear, so its maximum sits at a corner.
-    peak = max(s * a for s in (min(snr_db), max(snr_db))
-               for a in (1.0, min(alphas), max(alphas)))
-    if peak + 20.0 * math.log10(max(ks)) > _MAX_POWER_DB:
-        raise ConfigError(f"a gain power of {peak:g} dB (snr-db times 1 "
-                          f"or alpha) with k = {max(ks)} overflows floats; "
-                          f"keep it plus 20*log10(k) within "
-                          f"{_MAX_POWER_DB:g} dB")
+    s, a = [min(snr_db), max(snr_db)], [min(alphas), max(alphas)]
+    try:  # the corners (s[0], a[0]), (s[0], a[1]), (s[1], a[0]), (s[1], a[1])
+        gaussian.ChannelGrid.from_snr_alpha(np.repeat(s, 2), a * 2, max(ks))
+    except ValueError as exc:
+        raise ConfigError(f"snr-db and alpha at k = {max(ks)}: {exc}") from exc
 
 
 def _post_process(opts: argparse.Namespace) -> None:
@@ -451,14 +445,6 @@ def _post_process(opts: argparse.Namespace) -> None:
         if not opts.gains_file:
             _check_ldc_size(3, opts.max_gain)
     else:
-        if opts.command == "gdof-curves":
-            if not opts.alpha or opts.alpha[0] < 0 or any(
-                    b <= a for a, b in zip(opts.alpha, opts.alpha[1:])):
-                raise ConfigError("alpha grid must be non-empty, "
-                                  "non-negative and strictly increasing")
-            if opts.snr_db and len(set(opts.snr_db)) < 2:
-                raise ConfigError("slope fits need at least two distinct "
-                                  "snr-db values")
         _check_gaussian_grid(opts.k, opts.snr_db, opts.alpha)
 
 

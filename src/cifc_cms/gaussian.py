@@ -56,19 +56,28 @@ def _log2p1(x: float) -> float:
     return math.log1p(x) / _LN2
 
 
+def _users(k) -> int:
+    try:
+        return operator.index(k)
+    except TypeError:
+        return 0                 # a float or a string is no user count
+
+
 def _check_channel(k, hd, hi) -> None:
-    """The checks of both channel types, on scalar or array gains:
-    finite gains, hd >= 0 and an integral k of at least 2 users."""
-    if not (np.isfinite(hd).all() and np.isfinite(hi).all()):
-        raise ValueError("gains must be finite")
+    """The checks of both channel types, on scalar or array gains: hd >= 0,
+    an integral k >= 2 and finite gains with hd + (k - 1)|hi| <= 2**511,
+    whose square bounds every square the evaluators take, with room for
+    rounding below the float maximum; the test forms no overflowing product."""
     if (np.asarray(hd, float) < 0).any():
         raise ValueError("direct gain must be non-negative")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        k = 0                    # a float or a string is no user count
-    if k < 2:
+    if _users(k) < 2:
         raise ValueError("need an integer k of at least 2 users")
+    try:
+        fits = (_abs_each(np.ravel(hi)) <= (2.0 ** 511 - hd) / (k - 1)).all()
+    except OverflowError:        # |hi| or k past the float range
+        fits = False
+    if not fits:
+        raise ValueError("gains must be finite, hd + (k - 1)|hi| <= 2**511")
 
 
 @dataclass(frozen=True)
@@ -86,13 +95,9 @@ class GaussianSymChannel:
     @classmethod
     def from_snr_alpha(cls, snr_db: float, alpha: float,
                        k: int) -> "GaussianSymChannel":
-        """|hd|^2 = SNR, |hi|^2 = SNR^alpha with SNR in dB."""
-        try:
-            snr = 10.0 ** (snr_db / 10.0)
-            hd, hi = snr ** 0.5, complex(snr ** (alpha / 2.0))
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError("gain overflows floats") from None
-        return cls(hd=hd, hi=hi, k=k)
+        """ChannelGrid.from_snr_alpha at one point."""
+        g = ChannelGrid.from_snr_alpha([snr_db], [alpha], k)
+        return cls(hd=g.hd.item(), hi=complex(g.hi.item()), k=k)
 
     @property
     def inr(self) -> float:
@@ -189,7 +194,7 @@ def _rates(ch: GaussianSymChannel):
 
 
 def _primary_phase(hi: complex) -> complex:
-    return cmath.exp(1j * cmath.phase(hi)) if hi != 0 else 1.0 + 0j
+    return cmath.exp(1j * math.atan2(hi.imag, hi.real)) if hi else 1.0 + 0j
 
 
 def successive_params(ch: GaussianSymChannel) -> DpcParams:
@@ -243,8 +248,8 @@ def _strong_powers(k: int, hi2):
 
 def analytic_gap_bound(k: int) -> float:
     """Additive gap guaranteed by the closed-form scheme, in bits."""
-    if k < 3:
-        raise ValueError("gap bound stated for k >= 3")
+    if _users(k) < 3:
+        raise ValueError("gap bound stated for an integer k >= 3")
     if k == 3:
         return 6.0
     return (k - 2) * math.log2(k - 2) + math.log2(2.0 * math.e ** 2)
@@ -327,14 +332,17 @@ class ChannelGrid:
 
     @classmethod
     def from_snr_alpha(cls, snr_db, alpha, k: int) -> "ChannelGrid":
-        """GaussianSymChannel.from_snr_alpha on 1-D arrays."""
+        """|hd|^2 = SNR, |hi|^2 = SNR^alpha with SNR in dB, on 1-D arrays."""
         snr_db, alpha = np.broadcast_arrays(np.asarray(snr_db, float),
                                             np.asarray(alpha, float))
         try:
             snr = _pow_each(np.full(snr_db.shape, 10.0), snr_db / 10.0)
-            return cls(k, _pow_each(snr, 0.5), _pow_each(snr, alpha / 2.0))
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError("gain overflows floats") from None
+            if snr.all():  # an SNR that underflows to 0 has no dB value
+                hd, hi = _pow_each(snr, 0.5), _pow_each(snr, alpha / 2.0)
+                return cls(k, hd, hi)
+        except OverflowError:
+            pass
+        raise ValueError("SNR underflows or gain overflows floats")
 
     @classmethod
     def of(cls, ch: GaussianSymChannel) -> "ChannelGrid":
@@ -417,9 +425,10 @@ def gap_certificate_grid(g: ChannelGrid) -> GapCertificate:
             if over_bound[i] else
             f"inner bound {inner[i]:.6f} exceeds outer bound {outer[i]:.6f}")
     bf = g.beamforming
-    return GapCertificate(
-        inner, outer, gap, bound,
-        np.divide(outer, bf, out=np.full(bf.shape, math.nan), where=bf > 0))
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        ratio = np.divide(outer, bf, out=np.full(bf.shape, math.nan),
+                          where=bf > 0)
+    return GapCertificate(inner, outer, gap, bound, ratio)
 
 
 # The scalar API: one-element calls of the kernel.
@@ -724,9 +733,8 @@ def _vec_from_sigma(sigma: np.ndarray) -> np.ndarray:
                      l[2, 2].real])
 
 
-def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
-                   seed: int = 0,
-                   inner_hint: DpcParams | None = None) -> float:
+def optimize_outer(ch: GaussianSymChannel, inner_hint: DpcParams,
+                   budget: int = 10_000, seed: int = 0) -> float:
     """Tightened 3-user outer bound: maximize the sum bound over
     Gaussian inputs, minimize over real marginal-preserving noise
     correlations (grid plus pattern search).
@@ -739,12 +747,13 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     to unit diagonal, which can only raise the bound.  The maximum at
     each noise point is a budgeted Nelder-Mead search, not a
     certificate: a longer search can find more.  The noise screen costs
-    one evaluation per start at each of its 49 points (343 with an
-    inner_hint where |hi|^2 >= 1); a noise point the budget cannot fully
+    one evaluation per start at each of its 49 points (343 where |hi|^2
+    >= 1, 294 below); a noise point the budget cannot fully
     start counts as +inf, so at budget 500 (50 dB, alpha 0.75) only the
     screen's first pick is maximized, and the result is not monotone in
     the budget.  The result is capped at outer_sum.  Every noise point
-    evaluates the lifted inner_hint, so a result below dpc_rates(ch,
+    evaluates the lifted inner_hint (without it the search could end
+    below an achievable rate), so a result below dpc_rates(ch,
     inner_hint).total is a bug and raises GapExceeded; an infeasible
     inner_hint raises PowerConstraintViolated.
     """
@@ -753,12 +762,11 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
     budget_ctr = _Budget(budget)
     rng = np.random.default_rng(seed)
 
-    inner = None if inner_hint is None else dpc_rates(ch, inner_hint).total
+    inner = dpc_rates(ch, inner_hint).total
     sigma_starts = [np.eye(3, dtype=complex),
-                    np.full((3, 3), 0.999, dtype=complex)
-                    + 0.001 * np.eye(3)]
-    hints = [] if inner_hint is None else [inner_hint]
-    sigma_starts += [input_covariance(p, 3) for p in hints + _warm_params(ch)]
+                    np.full((3, 3), 0.999, dtype=complex) + 0.001 * np.eye(3)]
+    sigma_starts += [input_covariance(p, 3)
+                     for p in [inner_hint] + _warm_params(ch)]
     start_vecs = [_vec_from_sigma(s) for s in sigma_starts]
     start_vecs += [rng.normal(scale=0.5, size=8) for _ in range(2)]
     start_factors = np.array([_factor_from_vec(x0) for x0 in start_vecs])
@@ -846,7 +854,7 @@ def optimize_outer(ch: GaussianSymChannel, budget: int = 10_000,
         if math.isfinite(val):
             best_outer = max(best_outer, val)
     outer = min(best_outer, outer_sum(ch))
-    if inner is not None and outer < inner - TOL.eq:
+    if outer < inner - TOL.eq:
         raise GapExceeded(f"optimized outer bound {outer:.6f} is below "
                           f"the inner_hint rate {inner:.6f}")
     return float(outer)  # not a numpy scalar, which csv writes by repr

@@ -351,6 +351,10 @@ class TestGdofCurves:
     ["gaussian-gap", "--snr-db=-100", "--alpha=-40"],
     ["gaussian-gap", "--snr-db", "nan"],
     ["gaussian-gap", "--snr-db=-4000", "--alpha=-0.5"],
+    ["gaussian-gap", "--snr-db=-4000", "--alpha", "0.5"],
+    ["gaussian-gap", "--alpha", "0.5,inf"],
+    ["gaussian-gap", "--snr-db", "10,1e400"],
+    ["gdof-curves", "--alpha", "0,nan"],
     ["gaussian-gap", "--budget=-5"],
     ["gdof-curves", "--k", "1"],
     ["gdof-curves", "--alpha=-1"],
@@ -570,11 +574,70 @@ def test_main_runs_the_patched_subcommand(tmp_path, monkeypatch):
 
 
 def test_gain_power_limit_counts_k(tmp_path):
-    # 2990 dB alone fits; with k = 8 the 18 dB of k^2 pushes it past
-    ok = ["gaussian-gap", "--k", "3", "--snr-db", "2990", "--alpha", "0.5"]
+    # at 3060 dB, alpha 1, hd + (k - 1)|hi| = k 10^153 fits 2**511 (about
+    # 6.7e153) at k = 3, not at k = 8; a fixed 3000 dB margin rejected
+    # 2990 dB at k = 8 even at alpha 0.5
+    ok = ["gaussian-gap", "--k", "3", "--snr-db", "3060", "--alpha", "1"]
     assert cli.main(ok + ["--out", str(tmp_path / "a.csv")]) == 0
-    bad = ["gaussian-gap", "--k", "8", "--snr-db", "2990", "--alpha", "0.5"]
+    bad = ["gaussian-gap", "--k", "8", "--snr-db", "3060", "--alpha", "1"]
     assert cli.main(bad + ["--out", str(tmp_path / "b.csv")]) == 2
+    assert cli.main(["gaussian-gap", "--k", "8", "--snr-db", "2990",
+                     "--alpha", "0.5", "--out", str(tmp_path / "c.csv")]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ks=st.lists(st.integers(3, cli.MAX_GAUSSIAN_K), min_size=1,
+                   max_size=3),
+       snr_db=st.lists(st.floats(-3300.0, 3300.0), min_size=1, max_size=3),
+       alphas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3))
+def test_gaussian_grid_check_is_the_library_rule_at_every_point(
+        ks, snr_db, alphas):
+    # the corner argument: the CLI rejects a grid iff the library rejects
+    # one of its points
+    def rejected(s, a, k):
+        try:
+            gaussian.ChannelGrid.from_snr_alpha([s], [a], k)
+        except ValueError:
+            return True
+        return False
+
+    try:
+        cli._check_gaussian_grid(ks, snr_db, alphas)
+        raised = False
+    except cli.ConfigError:
+        raised = True
+    assert raised == any(rejected(s, a, k) for s in snr_db for a in alphas
+                         for k in ks)
+
+
+def test_snr_below_the_old_floor_runs(tmp_path):
+    # -3000 dB was the floor; at -3200 dB and alpha 2 the all-beamform
+    # rate is about 4e-320, and the ratio past the float range is inf
+    out = tmp_path / "g.csv"
+    assert cli.main(["gaussian-gap", "--snr-db=-3200", "--alpha", "1,2",
+                     "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert [row[-1] for row in rows[1:]] == ["1.0", "inf"]
+
+
+def test_gdof_curves_checks_slope_fit_snrs_only_for_a_cms_fit(tmp_path):
+    # the SNR grid only feeds the cms fits
+    out = tmp_path / "d.csv"
+    assert cli.main(["gdof-curves", "--models", "bc", "--snr-db", "40",
+                     "--out", str(out)]) == 0
+    assert cli.main(["gdof-curves", "--models", "cms", "--snr-db", "40",
+                     "--out", str(out)]) == 2
+
+
+def test_gdof_curves_maps_only_the_gdof_value_errors(tmp_path, monkeypatch):
+    # a ValueError outside curve_sweep and empirical_gdof_curve is a bug,
+    # so it stays a traceback
+    def broken(cells):
+        raise ValueError("not an input rule")
+
+    monkeypatch.setattr(cli, "_line", broken)
+    with pytest.raises(ValueError, match="not an input rule"):
+        cli.main(["gdof-curves", "--out", str(tmp_path / "d.csv")])
 
 
 # CSV bytes against the scalar oracle of test_gaussian and a per-row
